@@ -411,11 +411,6 @@ def _assignments(topology: Topology, branch, length) -> Iterator[Tuple[int, ...]
     """Maps branch vertex -> block index with connected nonempty blocks."""
     n = len(branch)
 
-    def ok(partial: List[int]) -> bool:
-        # final connectivity of each settled block is checked at the end;
-        # cheap prefix check: nothing here, full check below
-        return True
-
     def rec(pos: int, partial: List[int]) -> Iterator[Tuple[int, ...]]:
         if pos == n:
             groups: Dict[int, set] = {}

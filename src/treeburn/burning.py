@@ -5,16 +5,19 @@ m-burnable iff balls of radii m-1, m-2, ..., 0 can cover it.  A covering always
 yields a valid burning sequence by simulating the rounds and re-siting any
 source that is already burned, so the decision is exact and every witness
 passes the full sequence characterization (coverage plus the pairwise distance
-condition).  Path forests and spiders get specialized exact searches; other
-trees use a memoized branch-and-prune over (radius, center) choices.
+condition).  Paths follow the law n <= m*m, path forests and spiders get
+specialized exact searches, and other trees use a memoized branch-and-prune
+over (radius, center) choices.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .tree import Tree, TreeError, canonical_key, make_path, subdivide_edge
+from .tree import Tree, canonical_key, diameter, make_path, subdivide_edge
 from . import topology as topo_mod
 
 
@@ -75,29 +78,28 @@ def verify_schedule(tree: Tree, schedule: BurningSchedule) -> NeighborhoodCover:
         raise ValueError("empty schedule")
     seen = set()
     for x in schedule.sources:
-        if x not in tree.dist:
+        if x not in tree:
             raise ValueError(f"source {x} not in tree")
         if x in seen:
             raise ValueError(f"duplicate source {x}")
         seen.add(x)
+    # one BFS per source: every check below needs only distances from them
+    dists = [tree.distances_from(x) for x in schedule.sources]
     hoods = tuple(
-        tree.ball(x, m - i) for i, x in enumerate(schedule.sources, start=1)
+        frozenset(v for v, dv in d.items() if dv <= m - i)
+        for i, d in enumerate(dists, start=1)
     )
     union = frozenset().union(*hoods)
-    covers_all = union == frozenset(tree.vertices)
+    covers_all = len(union) == tree.order
     distance_ok = all(
-        tree.dist[schedule.sources[i]][schedule.sources[j]] >= j - i
+        dists[i][schedule.sources[j]] >= j - i
         for i in range(m)
         for j in range(i + 1, m)
     )
     disjoint = sum(len(h) for h in hoods) == len(union)
     # a leaf burns in the last round iff its earliest fire arrives at round m
     leaves_last = covers_all and all(
-        min(
-            i + tree.dist[x][leaf]
-            for i, x in enumerate(schedule.sources, start=1)
-        )
-        == m
+        min(i + d[leaf] for i, d in enumerate(dists, start=1)) == m
         for leaf in tree.leaves()
     )
     branch = set(tree.branch_vertices())
@@ -122,14 +124,6 @@ def verify_schedule(tree: Tree, schedule: BurningSchedule) -> NeighborhoodCover:
     )
 
 
-def extremal_flags(tree: Tree, schedule: BurningSchedule) -> NeighborhoodCover:
-    """Flags for a schedule that must already be a valid burning sequence."""
-    cover = verify_schedule(tree, schedule)
-    if not cover.is_burning_sequence:
-        raise ValueError("schedule is not a valid burning sequence")
-    return cover
-
-
 # ---------------------------------------------------------------------------
 # Path-forest coverage: assign disjoint groups of radii to the paths so that
 # each path order is at most the group's total segment size sum(2r+1).
@@ -137,53 +131,69 @@ def extremal_flags(tree: Tree, schedule: BurningSchedule) -> NeighborhoodCover:
 def _forest_groups(
     path_orders: Sequence[int], radii: Sequence[int]
 ) -> Optional[List[List[int]]]:
-    """Groups of radii covering each path, or None; exact search with memo."""
-    order_idx = sorted(range(len(path_orders)), key=lambda i: -path_orders[i])
-    paths = [path_orders[i] for i in order_idx]
+    """Groups of radii covering each path, or None; exact search.
+
+    Radii are placed largest first.  A state is (next radius index, sorted
+    tuple of the positive residual path demands): paths with equal residual
+    demands are interchangeable, so each distinct demand is tried once, and
+    failed states are memoized for the duration of the call.  A state whose
+    demands are pointwise no larger is at least as feasible, which gives two
+    exact dominance rules:
+
+    - while a demand remains the next radius is placed, since placing it on
+      any path lowers a demand; radii left once every demand is met go unused;
+    - of the demands the radius meets in full, only the largest is tried.
+
+    A state fails at once when its demands outweigh the remaining capacity
+    sum(2r+1).  Per-path groups are recovered by replaying the chosen
+    (radius, demand) steps onto the paths.
+    """
     radii = sorted(radii, reverse=True)
-    nr = len(radii)
     weight = [2 * r + 1 for r in radii]
-    memo = {}
+    capacity = [0] * (len(radii) + 1)  # capacity[i] = sum(weight[i:])
+    for i in range(len(radii) - 1, -1, -1):
+        capacity[i] = capacity[i + 1] + weight[i]
+    failed = set()
+    steps: List[Tuple[int, int]] = []  # (radius index, demand met), last first
 
-    def rec(j: int, mask: int) -> Optional[List[List[int]]]:
-        if j == len(paths):
-            return []
-        key = (j, mask)
-        if key in memo:
-            return None
-        need = paths[j]
-        avail = [i for i in range(nr) if mask & (1 << i)]
-        if sum(weight[i] for i in avail) < need:
-            memo[key] = False
-            return None
-        # choose a subset of the available radii for path j
-        def pick(pos: int, acc: int, chosen: List[int]):
-            if acc >= need:
-                rest = rec(j + 1, mask & ~sum(1 << i for i in chosen))
-                if rest is not None:
-                    return [[radii[i] for i in chosen]] + rest
-                return None
-            if pos == len(avail):
-                return None
-            i = avail[pos]
-            got = pick(pos + 1, acc + weight[i], chosen + [i])
-            if got is not None:
-                return got
-            return pick(pos + 1, acc, chosen)
+    def rec(i: int, demands: Tuple[int, ...], total: int) -> bool:
+        # demands ascend; total is their sum
+        if not demands:
+            return True
+        if total > capacity[i]:
+            return False
+        key = (i, demands)
+        if key in failed:
+            return False
+        w = weight[i]
+        prev = 0
+        for pos in range(len(demands) - 1, -1, -1):
+            d = demands[pos]
+            if d == prev:
+                continue
+            prev = d
+            rest = demands[:pos] + demands[pos + 1 :]
+            if d > w:
+                at = bisect_left(rest, d - w)
+                rest = rest[:at] + (d - w,) + rest[at:]
+            if rec(i + 1, rest, total - min(d, w)):
+                steps.append((i, d))
+                return True
+            if d <= w:
+                break
+        failed.add(key)
+        return False
 
-        got = pick(0, 0, [])
-        if got is None:
-            memo[key] = False
-        return got
-
-    groups = rec(0, (1 << nr) - 1)
-    if groups is None:
+    demands = tuple(sorted(d for d in path_orders if d > 0))
+    if not rec(0, demands, sum(demands)):
         return None
-    # undo the order sort
-    result: List[List[int]] = [[] for _ in path_orders]
-    for slot, grp in zip(order_idx, groups):
-        result[slot] = grp
-    return result
+    residual = list(path_orders)
+    groups: List[List[int]] = [[] for _ in path_orders]
+    for i, d in reversed(steps):
+        p = residual.index(d)
+        groups[p].append(radii[i])
+        residual[p] -= weight[i]
+    return groups
 
 
 def path_forest_burnable(forest: PathForest, m: int) -> bool:
@@ -197,16 +207,20 @@ def path_forest_burnable(forest: PathForest, m: int) -> bool:
 # Covering decisions per tree shape.
 
 def _cover_path_tree(tree: Tree, m: int) -> Optional[List[Tuple[int, int]]]:
-    """Coverage of a path graph; returns [(radius, center), ...] or None."""
+    """Coverage of a path graph; returns [(radius, center), ...] or None.
+
+    A radius-r ball meets a path in at most 2r+1 vertices, and balls of radii
+    m-1..0 laid end to end cover m*m of them, so P_n is covered iff n <= m*m
+    (the law b(P_n) = ceil(sqrt(n))).
+    """
+    if tree.order > m * m:
+        return None
     # order vertices along the path
     ends = [v for v in tree.vertices if tree.degree(v) <= 1]
     start = min(ends)
     d = tree.distances_from(start)
     line = sorted(tree.vertices, key=lambda v: d[v])
-    groups = _forest_groups([tree.order], range(m))
-    if groups is None:
-        return None
-    return _place_on_line(line, groups[0])
+    return _place_on_line(line, range(m - 1, -1, -1))
 
 
 def _place_on_line(line: Sequence[int], radii: Sequence[int]) -> List[Tuple[int, int]]:
@@ -391,7 +405,7 @@ def _witness_from_cover(
     center_for = {k - 1 - r: c for r, c in cover}  # round index (0-based) -> center
     burned: set = set()
     sources: List[int] = []
-    dist = tree.dist
+    dist: List[Dict[int, int]] = []  # dist[j][v] = d(sources[j], v)
     for t in range(k):
         if burned:
             burned |= {
@@ -405,7 +419,7 @@ def _witness_from_cover(
                 v
                 for v in tree.vertices
                 if v not in sources
-                and all(dist[v][s] >= t - j for j, s in enumerate(sources))
+                and all(d[v] >= t - j for j, d in enumerate(dist))
             ]
             if not candidates:
                 raise AssertionError("no admissible source; cover was invalid")
@@ -413,10 +427,11 @@ def _witness_from_cover(
             pool = unburned or candidates
             c = max(
                 pool,
-                key=lambda v: (min(dist[v][s] for s in sources) if sources else 0, -v),
+                key=lambda v: (min(d[v] for d in dist) if dist else 0, -v),
             )
         burned.add(c)
         sources.append(c)
+        dist.append(tree.distances_from(c))
     return BurningSchedule(sources=tuple(sources))
 
 
@@ -440,12 +455,25 @@ def is_m_burnable(tree: Tree, m: int, with_witness: bool = False):
 
 
 def burning_number(tree: Tree) -> Tuple[int, BurningSchedule]:
-    """Smallest m with a valid burning sequence, plus an optimal witness."""
-    k = 1
-    while not _decide_cover(tree, k):
+    """Smallest m with a valid burning sequence, plus an optimal witness.
+
+    The scan starts at ceil(sqrt(diam + 1)), which is sound: a longest path
+    has diam + 1 vertices, and in a tree a radius-r ball meets it in at most
+    2r + 1 of them (the ball's trace on a geodesic is a subpath within
+    distance r of one vertex), so k balls cover it only if
+    sum(2r + 1 for r < k) = k*k >= diam + 1.  Values of k that the decision
+    cache already records as not burnable are skipped; at each other k the
+    cover is computed once, and its outcome recorded.
+    """
+    key = canonical_key(tree)
+    k = math.isqrt(diameter(tree)) + 1
+    while True:
+        if _decision_cache.get((key, k)) is not False:
+            cover = _cover_tree(tree, k)
+            _decision_cache[(key, k)] = cover is not None
+            if cover is not None:
+                break
         k += 1
-    cover = _cover_tree(tree, k)
-    assert cover is not None
     witness = _witness_from_cover(tree, k, cover)
     check = verify_schedule(tree, witness)
     assert check.is_burning_sequence

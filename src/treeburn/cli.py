@@ -151,6 +151,8 @@ def _cmd_forest_ln(args) -> int:
         lo, hi = (int(x) for x in args.m_range.split(".."))
     except ValueError:
         raise DomainError(f"bad m-range {args.m_range!r}; expected A..B")
+    if lo > hi:
+        raise DomainError(f"empty m-range {args.m_range!r}; expected A..B with A <= B")
     est = burning.ln_estimate(args.n, range(lo, hi + 1))
     for m in range(lo, hi + 1):
         if m in est.vacuous:
@@ -412,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    os.environ.get("BURN_THREADS")  # accepted; the engines are single-threaded
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .tree import Tree, make_spider
-from .burning import BurningSchedule, is_m_burnable, _forest_groups
+from .burning import BurningSchedule, is_m_burnable, _forest_groups, _partitions
 from . import burning
 
 
@@ -148,18 +148,6 @@ def min_diameter_witness(n: int, m: int) -> Tuple[SpiderProfile, BurningSchedule
     return profile, witness_schedule(profile, m)
 
 
-def _partitions_exact(total: int, parts: int, cap: int):
-    """Non-increasing positive partitions of total into exactly `parts` parts,
-    each at most cap."""
-    if parts == 1:
-        if 1 <= total <= cap:
-            yield (total,)
-        return
-    for first in range(min(cap, total - parts + 1), 0, -1):
-        for rest in _partitions_exact(total - first, parts - 1, first):
-            yield (first,) + rest
-
-
 def verify_min_diameter(n: int, m: int) -> bool:
     """Exhaustively confirm some extremal spider attains diameter 6m - 10 and
     none beats it.  Every leg-length partition of the extremal order is tested
@@ -167,7 +155,7 @@ def verify_min_diameter(n: int, m: int) -> bool:
     target = min_diameter(n, m)
     total = extremal_order(n, m) - 1
     attained = False
-    for lengths in _partitions_exact(total, n, total):
+    for lengths in _partitions(total, n):
         prof = SpiderProfile(arm_lengths=tuple(sorted(lengths)))
         if prof.diameter < target and is_m_burnable(prof.tree(), m):
             return False
@@ -190,8 +178,3 @@ def balanced_extremal_spider(n: int, m: int) -> Tuple[SpiderProfile, BurningSche
             f"no balanced extremal spider for n={n}, m={m}: "
             f"leg lengths {lengths} do not tile"
         )
-
-
-def burning_number_of(profile: SpiderProfile) -> int:
-    b, _ = burning.burning_number(profile.tree())
-    return b

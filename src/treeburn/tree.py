@@ -65,6 +65,9 @@ class Tree:
     def order(self) -> int:
         return len(self.vertices)
 
+    def __contains__(self, v: int) -> bool:
+        return v in self._adj
+
     def neighbors(self, v: int) -> Tuple[int, ...]:
         return tuple(self._adj[v])
 
@@ -121,11 +124,6 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree(order={self.order}, edges={list(self.edges)})"
-
-
-def all_pairs_distance(tree: Tree) -> Dict[int, Dict[int, int]]:
-    """Symmetric distance table with d(v, v) = 0."""
-    return tree.dist
 
 
 def diameter(tree: Tree) -> int:

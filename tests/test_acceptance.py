@@ -17,6 +17,7 @@ from treeburn import extremal, spider
 from treeburn.admissible import InducedSpec
 from treeburn.burning import (
     PathForest,
+    _partitions,
     burning_number,
     is_m_burnable,
     is_maximally_m_burnable,
@@ -24,7 +25,6 @@ from treeburn.burning import (
     path_forest_burnable,
     verify_schedule,
 )
-from treeburn.spider import _partitions_exact
 from treeburn.tree import make_path, make_spider
 from treeburn.topology import make_chain_topology, make_tshape_topology
 
@@ -215,7 +215,7 @@ def test_criterion_9_extremality_ceiling():
     ok = True
     for m in (3, 4):
         total = spider.extremal_order(3, m)  # one more vertex than extremal - 1
-        for p in _partitions_exact(total, 3, total):
+        for p in _partitions(total, 3):
             if is_m_burnable(make_spider(list(p)), m):
                 ok = False
     report(9, "no 3-spider of order extremal_order+1 is m-burnable (m = 3, 4)", ok, time.time() - t0, 300)
@@ -229,7 +229,7 @@ def test_criterion_10_ln_oracle():
         for m in ms:
             threshold = est.per_m[m]
             # the property holds at the threshold
-            for p in _partitions_exact(m * m, n, m * m):
+            for p in _partitions(m * m, n):
                 if min(p) >= threshold and not path_forest_burnable(PathForest(p), m):
                     ok = False
             # and is certified sharp by the stored counterexample

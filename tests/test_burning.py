@@ -6,6 +6,7 @@ import pytest
 
 from treeburn.burning import (
     BurningSchedule,
+    _forest_groups,
     PathForest,
     burning_number,
     enumerate_optimal_schedules,
@@ -15,6 +16,7 @@ from treeburn.burning import (
     path_forest_burnable,
     verify_schedule,
 )
+from treeburn.spider import extremal_order
 from treeburn.tree import Tree, make_path, make_spider, make_star
 
 from conftest import random_tree
@@ -118,14 +120,69 @@ def test_witness_option():
     assert not ok and w is None
 
 
+def brute_groups_feasible(path_orders, radii):
+    """Independent oracle: send each radius to one path or leave it unused."""
+    k = len(path_orders)
+    for assign in itertools.product(range(k + 1), repeat=len(radii)):
+        need = list(path_orders)
+        for r, path in zip(radii, assign):
+            if path < k:
+                need[path] -= 2 * r + 1
+        if all(x <= 0 for x in need):
+            return True
+    return False
+
+
 def test_path_forest_matches_brute_force(rng):
     for _ in range(60):
-        k = rng.randint(1, 3)
+        k = rng.randint(1, 5)
         orders = tuple(rng.randint(1, 12) for _ in range(k))
-        m = rng.randint(1, 5)
+        m = rng.randint(1, 7)
         assert path_forest_burnable(PathForest(orders), m) == brute_forest_burnable(
             orders, m
         ), (orders, m)
+
+
+def test_forest_groups_on_radius_subsets(rng):
+    # the spider engine hands the DP every radius but the one crossing the head
+    for _ in range(150):
+        m = rng.randint(1, 7)
+        radii = sorted(rng.sample(range(m), rng.randint(0, m)), reverse=True)
+        orders = [rng.randint(1, 12) for _ in range(rng.randint(1, 4))]
+        groups = _forest_groups(orders, radii)
+        assert (groups is not None) == brute_groups_feasible(orders, radii), (
+            orders,
+            radii,
+        )
+        if groups is None:
+            continue
+        assert len(groups) == len(orders)
+        pool = list(radii)  # groups are disjoint and drawn from the radii
+        for g in groups:
+            for r in g:
+                pool.remove(r)
+        for order, g in zip(orders, groups):
+            assert sum(2 * r + 1 for r in g) >= order, (orders, radii, groups)
+
+
+def test_tight_spider_theorem(rng):
+    # legs start at m-1; the segments 2(m-i)+1 (i = 2..m) are dealt out to
+    # them, giving the extremal order n(m-1)+1+(m-1)^2
+    for m in range(5, 9):
+        for _ in range(3):
+            legs = [m - 1] * rng.randint(3, 5)
+            for i in range(2, m + 1):
+                legs[rng.randrange(len(legs))] += 2 * (m - i) + 1
+            t = make_spider(legs)
+            assert t.order == extremal_order(len(legs), m)
+            b, sched = burning_number(t)
+            assert b == m, legs
+            assert verify_schedule(t, sched).is_burning_sequence
+            legs[rng.randrange(len(legs))] += 1
+            t = make_spider(legs)
+            b, sched = burning_number(t)
+            assert b == m + 1, legs
+            assert verify_schedule(t, sched).is_burning_sequence
 
 
 def test_path_forest_rejects_bad_orders():

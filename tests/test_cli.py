@@ -65,6 +65,14 @@ def test_forest_commands(capsys):
     assert "m=2" in out and "m=3" in out
 
 
+def test_forest_ln_empty_range_is_domain_error(capsys):
+    for spec in ("5..2", "3..2"):
+        assert run(["forest", "ln", "-n", "2", "--m-range", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: empty m-range")
+
+
 def test_adm_order_example(capsys):
     code, out = capture(
         capsys, ["adm", "order", "chain3333", "--seq", "A_B,C_D", "-m", "6"]

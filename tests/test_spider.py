@@ -1,6 +1,6 @@
 import pytest
 
-from treeburn.burning import burning_number, is_m_burnable, verify_schedule
+from treeburn.burning import _partitions, burning_number, is_m_burnable, verify_schedule
 from treeburn.spider import (
     SpiderProfile,
     balanced_extremal_spider,
@@ -9,7 +9,6 @@ from treeburn.spider import (
     min_diameter_witness,
     verify_min_diameter,
     witness_schedule,
-    _partitions_exact,
 )
 
 
@@ -33,12 +32,12 @@ def test_extremal_order_formula():
 def test_extremal_order_is_attained_and_tight():
     # n = 3, m = 4: some spider of order 19 burns in 4 rounds, none of order 20
     hit = False
-    for p in _partitions_exact(18, 3, 18):
+    for p in _partitions(18, 3):
         if is_m_burnable(SpiderProfile(arm_lengths=p).tree(), 4):
             hit = True
             break
     assert hit
-    for p in _partitions_exact(19, 3, 19):
+    for p in _partitions(19, 3):
         assert not is_m_burnable(SpiderProfile(arm_lengths=p).tree(), 4)
 
 
