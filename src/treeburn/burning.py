@@ -6,8 +6,9 @@ yields a valid burning sequence by simulating the rounds and re-siting any
 source that is already burned, so the decision is exact and every witness
 passes the full sequence characterization (coverage plus the pairwise distance
 condition).  Paths follow the law n <= m*m, path forests and spiders get
-specialized exact searches, and other trees use a memoized branch-and-prune
-over (radius, center) choices.
+specialized exact searches, and other trees use a memoized search that
+branches only on which radius covers a deepest uncovered vertex, with the
+ball's center fixed by an exchange argument.
 """
 
 from __future__ import annotations
@@ -145,26 +146,17 @@ def _forest_groups(
     - of the demands the radius meets in full, only the largest is tried.
 
     A state fails at once when its demands outweigh the remaining capacity
-    sum(2r+1).  Per-path groups are recovered by replaying the chosen
-    (radius, demand) steps onto the paths.
+    sum(2r+1).  Per-path groups are recovered by replaying the demand each
+    radius met onto the paths.
     """
     radii = sorted(radii, reverse=True)
     weight = [2 * r + 1 for r in radii]
     capacity = [0] * (len(radii) + 1)  # capacity[i] = sum(weight[i:])
     for i in range(len(radii) - 1, -1, -1):
         capacity[i] = capacity[i + 1] + weight[i]
-    failed = set()
-    steps: List[Tuple[int, int]] = []  # (radius index, demand met), last first
 
-    def rec(i: int, demands: Tuple[int, ...], total: int) -> bool:
-        # demands ascend; total is their sum
-        if not demands:
-            return True
-        if total > capacity[i]:
-            return False
-        key = (i, demands)
-        if key in failed:
-            return False
+    def moves(i: int, demands: Tuple[int, ...], total: int):
+        """(demand met, next state) for each way to place radius i."""
         w = weight[i]
         prev = 0
         for pos in range(len(demands) - 1, -1, -1):
@@ -176,20 +168,30 @@ def _forest_groups(
             if d > w:
                 at = bisect_left(rest, d - w)
                 rest = rest[:at] + (d - w,) + rest[at:]
-            if rec(i + 1, rest, total - min(d, w)):
-                steps.append((i, d))
-                return True
+            yield d, (i + 1, rest, total - min(d, w))
             if d <= w:
                 break
-        failed.add(key)
-        return False
 
-    demands = tuple(sorted(d for d in path_orders if d > 0))
-    if not rec(0, demands, sum(demands)):
-        return None
+    # depth-first search with an explicit stack; a state is (i, demands,
+    # total) with demands ascending and total their sum
+    failed = set()
+    frames = []  # frames[i]: (state key, moves left) of the state placing radius i
+    met: List[int] = []  # met[i]: the demand radius i meets on the current branch
+    start = tuple(sorted(d for d in path_orders if d > 0))
+    i, demands, total = 0, start, sum(start)
+    while demands:
+        if total <= capacity[i] and (i, demands) not in failed:
+            frames.append(((i, demands), moves(i, demands, total)))
+        while frames and (step := next(frames[-1][1], None)) is None:
+            failed.add(frames.pop()[0])
+        if not frames:
+            return None
+        del met[len(frames) - 1 :]
+        d, (i, demands, total) = step
+        met.append(d)
     residual = list(path_orders)
     groups: List[List[int]] = [[] for _ in path_orders]
-    for i, d in reversed(steps):
+    for i, d in enumerate(met):
         p = residual.index(d)
         groups[p].append(radii[i])
         residual[p] -= weight[i]
@@ -301,75 +303,53 @@ def _cover_spider(tree: Tree, m: int) -> Optional[List[Tuple[int, int]]]:
 
 
 def _cover_general(tree: Tree, m: int) -> Optional[List[Tuple[int, int]]]:
-    """Complete covering search for arbitrary trees.
+    """Complete covering search for arbitrary trees, branching on radii only.
 
-    Branches on which (radius, center) covers a farthest uncovered vertex;
-    memoizes failed (remaining radii, uncovered set) states.
+    Root the tree at a vertex and let u be a deepest uncovered vertex.  Some
+    remaining ball covers u.  If a radius-r ball B covers u, the radius-r ball
+    centred at a, u's ancestor at distance r (the root if u is shallower),
+    covers every uncovered vertex that B covers.  Take an uncovered w in B,
+    with B centred at c; as u is deepest, depth(w) <= depth(u).  If w lies
+    under a, then d(a, w) = depth(w) - depth(a) <= depth(u) - depth(a) <= r.
+    If it does not, then either c lies under a, so its path to w runs through
+    a and d(a, w) <= d(c, w) <= r, or c lies outside a's subtree and
+    d(c, u) = d(c, a) + r <= r forces c = a.  Covering more never hurts, so
+    the search branches only on which remaining radius covers u, and memoizes
+    failed (remaining radii, uncovered set) states.
+
+    Vertices are numbered deepest first, so the lowest set bit of the
+    uncovered mask is a deepest uncovered vertex; ball masks are built on
+    first use.
     """
-    dist = tree.dist
-    verts = tree.vertices
-    n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    ecc_order = sorted(range(n), key=lambda i: -max(dist[verts[i]].values()))
-    # coverage sets as bitmasks, one per (radius, center)
-    radii_set = sorted({r for r in range(m)})
-    ball = {}
-    for r in radii_set:
-        row = []
-        for v in verts:
-            mask = 0
-            dv = dist[v]
-            for w, dw in dv.items():
-                if dw <= r:
-                    mask |= 1 << index[w]
-            row.append(mask)
-        ball[r] = row
-    full = (1 << n) - 1
+    root = tree.vertices[0]
+    depth = tree.distances_from(root)
+    verts = sorted(tree.vertices, key=lambda v: -depth[v])
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    parent = {w: v for v in verts for w in tree.neighbors(v) if depth[w] > depth[v]}
+    balls: Dict[Tuple[int, int], int] = {}
     failed = set()
 
     def rec(radii: Tuple[int, ...], uncovered: int) -> Optional[List[Tuple[int, int]]]:
         if not uncovered:
             return []
-        if not radii:
-            return None
         key = (radii, uncovered)
-        if key in failed:
+        if not radii or key in failed:
             return None
-        # sound capacity bound: best-case coverage per remaining radius
-        need = uncovered.bit_count()
-        cap = 0
-        for r in radii:
-            row = ball[r]
-            cap += max((row[i] & uncovered).bit_count() for i in range(n))
-            if cap >= need:
-                break
-        if cap < need:
-            failed.add(key)
-            return None
-        for i in ecc_order:
-            if uncovered >> i & 1:
-                u = verts[i]
-                break
-        tried = set()
+        u = verts[(uncovered & -uncovered).bit_length() - 1]
         for idx, r in enumerate(radii):
-            rest = radii[:idx] + radii[idx + 1 :]
-            row = ball[r]
-            du = dist[u]
-            centers = [i for i in range(n) if du[verts[i]] <= r]
-            centers.sort(key=lambda i: (-(row[i] & uncovered).bit_count(), i))
-            for i in centers:
-                new_unc = uncovered & ~row[i]
-                sig = (rest, new_unc)
-                if sig in tried:
-                    continue
-                tried.add(sig)
-                sub = rec(rest, new_unc)
-                if sub is not None:
-                    return [(r, verts[i])] + sub
+            a = u
+            for _ in range(min(r, depth[u])):
+                a = parent[a]
+            mask = balls.get((r, a))
+            if mask is None:
+                mask = balls[(r, a)] = sum(bit[w] for w in tree.ball(a, r))
+            sub = rec(radii[:idx] + radii[idx + 1 :], uncovered & ~mask)
+            if sub is not None:
+                return [(r, a)] + sub
         failed.add(key)
         return None
 
-    return rec(tuple(range(m - 1, -1, -1)), full)
+    return rec(tuple(range(m - 1, -1, -1)), (1 << len(verts)) - 1)
 
 
 def _cover_tree(tree: Tree, m: int) -> Optional[List[Tuple[int, int]]]:
@@ -380,6 +360,8 @@ def _cover_tree(tree: Tree, m: int) -> Optional[List[Tuple[int, int]]]:
     if tree.is_path():
         return _cover_path_tree(tree, m)
     if len(tree.branch_vertices()) == 1:
+        # the path-forest DP keeps the arms' symmetry, which _cover_general's
+        # bitmask states lose: 0.11 s against 21 s on 192 tight-spider decisions
         return _cover_spider(tree, m)
     return _cover_general(tree, m)
 

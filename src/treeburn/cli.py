@@ -79,6 +79,10 @@ def _emit(fields: List[Tuple[str, str]], fmt: str) -> str:
     return " ".join(f"{k}={v}" for k, v in fields)
 
 
+def _emit_tagged(tag: str, fields: List[Tuple[str, str]], fmt: str) -> str:
+    return tag + ("\t" if fmt == "tsv" else " ") + _emit(fields, fmt)
+
+
 def _sources_str(schedule: burning.BurningSchedule) -> str:
     return ",".join(str(v) for v in schedule.sources)
 
@@ -117,7 +121,8 @@ def _cmd_burn_burnable(args) -> int:
     tree = _load_tree(args.tree)
     ok, witness = burning.is_m_burnable(tree, args.m, with_witness=True)
     if ok:
-        print(f"burn m={len(witness.sources)} sources={_sources_str(witness)}")
+        fields = [("m", str(len(witness.sources))), ("sources", _sources_str(witness))]
+        print(_emit_tagged("burn", fields, args.format))
         return 0
     print(_emit([("burnable", "false"), ("m", str(args.m))], args.format))
     return 1
@@ -306,8 +311,7 @@ def _print_profile(prof, sched, m, fmt):
         ("b", str(m)),
         ("sources", _sources_str(sched)),
     ]
-    body = _emit(fields, fmt)
-    print((tag + ("\t" if fmt == "tsv" else " ") + body))
+    print(_emit_tagged(tag, fields, fmt))
 
 
 def _cmd_spider_witness(args) -> int:

@@ -107,7 +107,7 @@ def find_extremal(topology: Topology, m: int, verify: bool = False) -> ExtremalR
     )
     tree = adm.induce_tree(InducedSpec(topology=topology, sequence=winner, m=m))
     b = maximal = None
-    if verify and tree.order <= 45:
+    if verify:
         b, _ = burning.burning_number(tree)
         maximal = burning.is_maximally_m_burnable(tree, b) if b == m else False
     return ExtremalResult(

@@ -109,8 +109,19 @@ class Tree:
         return max(self.distances_from(v).values())
 
     def ball(self, v: int, radius: int) -> frozenset:
-        d = self.dist[v]
-        return frozenset(u for u in self.vertices if d[u] <= radius)
+        """Vertices within `radius` of v, by a BFS that stops at that depth."""
+        if v not in self._adj:
+            raise TreeError(f"vertex {v} not in tree")
+        if radius < 0:
+            return frozenset()
+        seen = {v}
+        frontier = [v]
+        for _ in range(radius):
+            frontier = [w for u in frontier for w in self._adj[u] if w not in seen]
+            if not frontier:
+                break
+            seen.update(frontier)
+        return frozenset(seen)
 
     def __eq__(self, other) -> bool:
         return (
@@ -256,13 +267,24 @@ def _centroid(tree: Tree) -> Tuple[int, ...]:
 
 
 def _rooted_encoding(tree: Tree, root: int, block: int | None = None) -> str:
-    def enc(v: int, par: int | None) -> str:
-        kids = sorted(
-            enc(w, v) for w in tree.neighbors(v) if w != par and w != block
-        )
-        return "(" + "".join(kids) + ")"
+    """AHU string of the tree rooted at `root`, without `block`'s side.
 
-    return enc(root, None)
+    A vertex encodes as "(" + its children's encodings, sorted, + ")".  The
+    strings are built without recursion in reverse BFS order, so every child
+    comes before its parent, and each child's string is dropped once its
+    parent's is built.
+    """
+    parent: Dict[int, int | None] = {root: None}
+    order = [root]
+    for v in order:
+        for w in tree.neighbors(v):
+            if w != parent[v] and w != block:
+                parent[w] = v
+                order.append(w)
+    kids: Dict[int, List[str]] = {v: [] for v in order}
+    for v in reversed(order[1:]):
+        kids[parent[v]].append("(" + "".join(sorted(kids.pop(v))) + ")")
+    return "(" + "".join(sorted(kids[root])) + ")"
 
 
 def canonical_key(tree: Tree) -> str:

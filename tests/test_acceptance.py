@@ -134,14 +134,12 @@ def test_criterion_5_induced_trees_burnable():
         seq = seqs[rng.randrange(len(seqs))]
         sig = adm.signature(topo, seq)
         m = max(sig.values()) + rng.randint(1, 2)
-        if adm.induced_order(topo, seq, m) > 45:
-            continue
         tree = adm.induce_tree(InducedSpec(topology=topo, sequence=seq, m=m))
         if not is_m_burnable(tree, m):
             ok = False
             break
         accepted += 1
-    report(5, "200 random induced trees (order <= 45) are m-burnable", ok, time.time() - t0, 300)
+    report(5, "200 random induced trees are m-burnable", ok, time.time() - t0, 300)
 
 
 def test_criterion_6_reductions_and_canonical_forms():

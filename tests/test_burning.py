@@ -34,9 +34,12 @@ def brute_burning_number(tree):
                 for j in range(i + 1, m)
             ):
                 continue
-            covered = set()
-            for i, v in enumerate(seq):
-                covered |= tree.ball(v, m - 1 - i)
+            covered = {
+                w
+                for i, v in enumerate(seq)
+                for w in tree.vertices
+                if d[v][w] <= m - 1 - i
+            }
             if len(covered) == n:
                 return m
     return n
@@ -89,12 +92,23 @@ def test_star_burning_number():
 
 
 def test_burning_number_matches_brute_force(rng):
-    for _ in range(40):
-        t = random_tree(rng, rng.randint(1, 9))
+    trees = [random_tree(rng, rng.randint(1, 9)) for _ in range(40)]
+    # trees with two or more branch vertices go to the general engine
+    while len(trees) < 70:
+        t = random_tree(rng, rng.randint(6, 10))
+        if len(t.branch_vertices()) >= 2:
+            trees.append(t)
+    for t in trees:
         b, sched = burning_number(t)
         assert b == brute_burning_number(t), t.edges
         assert verify_schedule(t, sched).is_burning_sequence
         assert len(sched.sources) == b
+        assert b == 1 or not is_m_burnable(t, b - 1), t.edges
+
+
+def test_long_path_burning_number():
+    # deep enough that a recursive canonical form would overflow the stack
+    assert burning_number(make_path(5000))[0] == 71
 
 
 def test_spider_solver_matches_brute_force(rng):

@@ -42,6 +42,14 @@ def test_burn_burnable_witness_format(capsys):
     assert out.startswith("burn m=3 sources=")
 
 
+def test_burn_burnable_tsv(capsys):
+    code, out = capture(
+        capsys, ["--format", "tsv", "burn", "burnable", "path:9", "-m", "3"]
+    )
+    assert code == 0
+    assert out == "burn\tm=3\tsources=2,6,8\n"
+
+
 def test_burn_burnable_failure_exit(capsys):
     code, out = capture(capsys, ["burn", "burnable", "path:9", "-m", "2"])
     assert code == 1
@@ -63,6 +71,18 @@ def test_forest_commands(capsys):
     code, out = capture(capsys, ["forest", "ln", "-n", "2", "--m-range", "2..3"])
     assert code == 0
     assert "m=2" in out and "m=3" in out
+
+
+def test_forest_burnable_deep_search(capsys):
+    # a thousand radii placed one after another, each a level of the search
+    for paths, answer, exit_code in (
+        ("1000000", "true", 0),
+        ("400000,400000", "true", 0),
+        ("500000,500001", "false", 1),
+    ):
+        code, out = capture(capsys, ["forest", "burnable", "--paths", paths, "-m", "1000"])
+        assert out == f"burnable={answer} m=1000\n"
+        assert code == exit_code
 
 
 def test_forest_ln_empty_range_is_domain_error(capsys):
@@ -104,6 +124,12 @@ def test_ext_search(capsys):
     code, out = capture(capsys, ["ext", "search", "chain3333", "-m", "6"])
     assert code == 0
     assert "order=53" in out and "seq=B_AC,D" in out
+
+
+def test_ext_search_verify(capsys):
+    code, out = capture(capsys, ["ext", "search", "chain3333", "-m", "6", "--verify"])
+    assert code == 0
+    assert out.strip().endswith("b=6 maximal=true")
 
 
 def test_spider_witness_fields(capsys):

@@ -115,6 +115,28 @@ def test_isomorphism_vs_relabeling():
         assert isomorphic(t, u)
 
 
+def test_canonical_key_relabelled_large_tree():
+    # thousands of vertices, with long paths, and no recursion limit hit
+    rng = random.Random(11)
+    n = 4000
+    edges = [(rng.randrange(max(0, i - 3), i), i) for i in range(1, n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    t = Tree(edges)
+    u = Tree([(perm[a], perm[b]) for a, b in edges])
+    assert canonical_key(t) == canonical_key(u)
+    assert canonical_key(t) != canonical_key(subdivide_edge(u, *u.edges[0]))
+
+
+@given(st.integers(min_value=1, max_value=30), st.randoms())
+def test_ball_matches_distances(n, pyrng):
+    rng = random.Random(pyrng.randint(0, 10**9))
+    t = random_tree(rng, n)
+    v = rng.choice(t.vertices)
+    for r in range(n + 1):
+        assert t.ball(v, r) == frozenset(w for w in t.vertices if t.dist[v][w] <= r)
+
+
 @given(st.integers(min_value=1, max_value=40))
 def test_path_diameter(n):
     assert diameter(make_path(n)) == n - 1
