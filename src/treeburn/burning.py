@@ -5,10 +5,13 @@ m-burnable iff balls of radii m-1, m-2, ..., 0 can cover it.  A covering always
 yields a valid burning sequence by simulating the rounds and re-siting any
 source that is already burned, so the decision is exact and every witness
 passes the full sequence characterization (coverage plus the pairwise distance
-condition).  Paths follow the law n <= m*m, path forests and spiders get
-specialized exact searches, and other trees use a memoized search that
-branches only on which radius covers a deepest uncovered vertex, with the
-ball's center fixed by an exchange argument.
+condition).  Two engines decide coverage, each with its proof in its
+docstring.  Trees with at most one branch vertex (paths and spiders) go to
+the segment engine: it tries each ball through the head and covers the arm
+suffixes left over with an exact path-forest DP, which alone decides a path
+(the law n <= m*m).  Every other tree goes to a memoized search that branches
+only on which radius covers a deepest uncovered vertex, with the ball's
+center fixed by an exchange argument.
 """
 
 from __future__ import annotations
@@ -206,24 +209,8 @@ def path_forest_burnable(forest: PathForest, m: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Covering decisions per tree shape.
-
-def _cover_path_tree(tree: Tree, m: int) -> Optional[List[Tuple[int, int]]]:
-    """Coverage of a path graph; returns [(radius, center), ...] or None.
-
-    A radius-r ball meets a path in at most 2r+1 vertices, and balls of radii
-    m-1..0 laid end to end cover m*m of them, so P_n is covered iff n <= m*m
-    (the law b(P_n) = ceil(sqrt(n))).
-    """
-    if tree.order > m * m:
-        return None
-    # order vertices along the path
-    ends = [v for v in tree.vertices if tree.degree(v) <= 1]
-    start = min(ends)
-    d = tree.distances_from(start)
-    line = sorted(tree.vertices, key=lambda v: d[v])
-    return _place_on_line(line, range(m - 1, -1, -1))
-
+# Covering decisions: a segment engine for trees with at most one branch
+# vertex, and a deepest-uncovered search for every other tree.
 
 def _place_on_line(line: Sequence[int], radii: Sequence[int]) -> List[Tuple[int, int]]:
     """Place balls of the given radii left to right along a vertex line."""
@@ -239,66 +226,83 @@ def _place_on_line(line: Sequence[int], radii: Sequence[int]) -> List[Tuple[int,
     return out
 
 
-def _spider_profile(tree: Tree) -> Optional[Tuple[int, List[List[int]]]]:
-    """(head, arms as vertex paths from head outward) if tree is a spider."""
-    branch = tree.branch_vertices()
-    if len(branch) != 1:
-        return None
-    head = branch[0]
-    arms = []
-    for w in tree.neighbors(head):
-        path = [w]
-        prev, cur = head, w
-        while tree.degree(cur) == 2:
-            nxt = [x for x in tree.neighbors(cur) if x != prev][0]
-            path.append(nxt)
-            prev, cur = cur, nxt
-        arms.append(path)
-    return head, arms
+def _cover_suffixes(
+    lines: Sequence[Sequence[int]], starts: Sequence[int], radii: Sequence[int]
+) -> Optional[List[Tuple[int, int]]]:
+    """Balls of the given radii covering line[start:] for every line, or None.
 
-
-def _cover_spider(tree: Tree, m: int) -> Optional[List[Tuple[int, int]]]:
-    """Exact spider coverage.
-
-    Branch over the ball that crosses the head (radius rho, center at depth
-    delta on some arm); every other ball can be normalized to an interval
-    inside a single residual arm suffix, so the rest reduces to a path-forest
-    assignment.
+    The suffixes form a path forest; `_forest_groups` decides which radii go
+    to which suffix and `_place_on_line` lays each group end to end.
     """
-    head, arms = _spider_profile(tree)  # type: ignore[misc]
-    lengths = [len(a) for a in arms]
+    live = [(line, s) for line, s in zip(lines, starts) if s < len(line)]
+    groups = _forest_groups([len(line) - s for line, s in live], radii)
+    if groups is None:
+        return None
+    return [
+        ball
+        for (line, s), grp in zip(live, groups)
+        for ball in _place_on_line(line[s:], grp)
+    ]
+
+
+def _cover_segments(tree: Tree, m: int) -> Optional[List[Tuple[int, int]]]:
+    """Exact cover of a path or a spider by balls of radii m-1..0.
+
+    Both rest on the path-forest lemma: a ball meets a path in an interval of
+    at most 2r+1 vertices, and intervals of sizes s_i cover a path of order L
+    iff sum(s_i) >= L, so a path forest is covered iff the radii can be split
+    into groups with sum(2r+1) at least each path's order (`_forest_groups`).
+    A path is one segment, which gives the law n <= m*m.
+
+    A spider has a head h and arms; a ball of radius r centred at depth delta
+    on arm j (delta = 0 at h) contains h iff delta <= r.  Such a head ball
+    reaches depth delta + r on arm j and depth r - delta, its generic reach,
+    on every other arm; a ball that misses h meets arm j alone, in an
+    interval.  Some ball of a cover contains h; let B0 be one with the
+    largest generic reach g0.  B0 covers depth g0 on every arm, so another
+    head ball B, of radius r, centre depth delta on arm j and generic reach
+    r - delta <= g0, adds nothing beyond B0 off arm j, and on arm j it adds
+    part of the depths (r - delta, delta + r], an interval of at most 2r+1
+    vertices.  So every ball other than B0 meets the vertices B0 leaves, the
+    arm suffixes past B0's reach, in one interval of at most 2r+1 vertices
+    on one suffix, and the spider is covered iff for some head ball B0 the
+    suffixes are covered by the other radii.  The search tries each head ball
+    (radius, arm, depth) and solves that path forest exactly; head balls
+    that leave the same multiset of (arm length, reach) pairs leave the same
+    forest and are tried once.
+    """
     radii = list(range(m - 1, -1, -1))
-    seen_branches = set()
+    if tree.is_path():
+        end = min(v for v in tree.vertices if tree.degree(v) <= 1)
+        d = tree.distances_from(end)
+        line = sorted(tree.vertices, key=d.__getitem__)
+        return _cover_suffixes([line], [0], radii)
+    dec = topo_mod.decompose(tree)
+    head = dec.arms[0][0]
+    arms = [path[1:] for _, path in dec.arms]
+    lengths = [len(a) for a in arms]
+
+    def head_balls(rho: int):
+        """(centre, depth reached on each arm) of every radius-rho head ball."""
+        for j, arm in enumerate(arms):
+            for delta in range(1, min(rho, len(arm)) + 1):
+                yield arm[delta - 1], [
+                    min(l, delta + rho if k == j else rho - delta)
+                    for k, l in enumerate(lengths)
+                ]
+        yield head, [min(l, rho) for l in lengths]
+
+    seen = set()
     for rho in radii:
         rest = [r for r in radii if r != rho]
-        for j in range(len(arms) + 1):
-            if j == len(arms):
-                arm_len, delta_range = 0, [0]  # center at the head itself
-            else:
-                arm_len = lengths[j]
-                delta_range = range(1, min(rho, arm_len) + 1)
-            for delta in delta_range:
-                covered = []
-                for k, lk in enumerate(lengths):
-                    if k == j:
-                        covered.append(min(lk, delta + rho))
-                    else:
-                        covered.append(min(lk, rho - delta))
-                key = (rho, tuple(sorted(zip(lengths, covered))))
-                if key in seen_branches:
-                    continue
-                seen_branches.add(key)
-                residual = [lengths[k] - covered[k] for k in range(len(arms))]
-                live = [k for k in range(len(arms)) if residual[k] > 0]
-                groups = _forest_groups([residual[k] for k in live], rest)
-                if groups is None:
-                    continue
-                center = head if j == len(arms) else arms[j][delta - 1]
-                placement = [(rho, center)]
-                for k, grp in zip(live, groups):
-                    suffix = arms[k][covered[k]:]
-                    placement.extend(_place_on_line(suffix, grp))
-                return placement
+        for centre, reach in head_balls(rho):
+            key = (rho, tuple(sorted(zip(lengths, reach))))
+            if key in seen:
+                continue
+            seen.add(key)
+            cover = _cover_suffixes(arms, reach, rest)
+            if cover is not None:
+                return [(rho, centre)] + cover
     return None
 
 
@@ -355,14 +359,10 @@ def _cover_general(tree: Tree, m: int) -> Optional[List[Tuple[int, int]]]:
 def _cover_tree(tree: Tree, m: int) -> Optional[List[Tuple[int, int]]]:
     if m < 1:
         return None
-    if tree.order == 1:
-        return [(m - 1, tree.vertices[0])]
-    if tree.is_path():
-        return _cover_path_tree(tree, m)
-    if len(tree.branch_vertices()) == 1:
+    if len(tree.branch_vertices()) <= 1:
         # the path-forest DP keeps the arms' symmetry, which _cover_general's
         # bitmask states lose: 0.11 s against 21 s on 192 tight-spider decisions
-        return _cover_spider(tree, m)
+        return _cover_segments(tree, m)
     return _cover_general(tree, m)
 
 

@@ -4,17 +4,20 @@ A spider has one branch vertex (the head) and n >= 3 legs.  For burning
 number m > 1 the largest m-burnable spider with n legs has order
 n(m-1) + 1 + (m-1)^2, and among spiders attaining that bound the diameter
 can be driven down to 6m - 10 whenever 3 <= m <= 2n - 1, but no lower.
+Minimum-diameter witnesses come from the pairing construction of that proof
+(`min_diameter_witness`); head-first schedules come from the burning
+module's segment engine, which covers the leg suffixes past the head's ball.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Tuple
 
 from .tree import Tree, make_spider
-from .burning import BurningSchedule, is_m_burnable, _forest_groups, _partitions
+from .burning import BurningSchedule, is_m_burnable, _cover_suffixes, _partitions
 from . import burning
+from . import topology as topo_mod
 
 
 @dataclass(frozen=True)
@@ -53,98 +56,55 @@ def extremal_order(n: int, m: int) -> int:
     return n * (m - 1) + 1 + (m - 1) ** 2
 
 
-def _tile_arms(arm_lengths: Sequence[int], m: int) -> Optional[BurningSchedule]:
-    """Head-first schedule: the head burns at round 1 covering depth m-1 on
-    every leg; the leftover leg suffixes must tile exactly with the remaining
-    segments of sizes 2(m-i)+1 for i = 2..m."""
-    residues = [l - (m - 1) for l in arm_lengths if l > m - 1]
-    radii = tuple(m - i for i in range(2, m + 1))
-    groups = _forest_groups(tuple(sorted(residues)), radii)
-    if groups is None:
-        return None
-    # rebuild vertex ids: legs are laid out in order, head is 0
-    offsets = []
-    start = 1
-    for l in arm_lengths:
-        offsets.append(start)
-        start += l
-    long_legs = [i for i, l in enumerate(arm_lengths) if l > m - 1]
-    order = sorted(range(len(residues)), key=lambda i: residues[i])
-    sources: List[Tuple[int, int]] = [(1, 0)]  # (round, vertex)
-    used = {0}
-    for pos, radii_here in zip(order, groups):
-        leg = long_legs[pos]
-        depth = m - 1  # already-covered prefix depth on this leg
-        for r in sorted(radii_here, reverse=True):
-            center_depth = min(depth + r + 1, arm_lengths[leg])
-            v = offsets[leg] + center_depth - 1
-            if v in used:
-                return None
-            used.add(v)
-            sources.append((m - r, v))
-            depth += 2 * r + 1
-    sources.sort()
-    rounds = [r for r, _ in sources]
-    if rounds != list(range(1, m + 1)):
-        return None
-    return BurningSchedule(sources=tuple(v for _, v in sources))
-
-
 def witness_schedule(profile: SpiderProfile, m: int) -> BurningSchedule:
-    """A valid m-round schedule that burns the head first, if one exists."""
-    sched = _tile_arms(profile.arm_lengths, m)
-    if sched is None:
+    """A valid m-round schedule that burns the head first, if one exists.
+
+    The head burns in round 1 and covers depth m-1 on every leg; the leg
+    suffixes past that depth must then be covered, with no radius left over,
+    by the balls of radii m-2..0, whose centres burn in rounds 2..m.  The
+    balls tile the tree, so no centre is burned before its own round.
+    """
+    tree = profile.tree()
+    dec = topo_mod.decompose(tree)
+    head = dec.arms[0][0]
+    arms = [path[1:] for _, path in dec.arms]
+    cover = _cover_suffixes(arms, [m - 1] * len(arms), range(m - 2, -1, -1))
+    if cover is None or len(cover) != m - 1:
         raise ValueError(f"no head-first schedule of length {m} for {profile}")
-    flags = burning.verify_schedule(profile.tree(), sched)
+    rounds = sorted(cover, reverse=True)  # radius m-i burns in round i
+    sched = BurningSchedule(sources=(head,) + tuple(c for _, c in rounds))
+    flags = burning.verify_schedule(tree, sched)
     if not flags.is_burning_sequence:
         raise AssertionError(f"internal error: invalid schedule for {profile}")
     return sched
 
 
-def _extremal_profiles(n: int, m: int) -> List[Tuple[int, ...]]:
-    """All leg-length multisets hitting the extremal order whose suffixes tile."""
-    total = extremal_order(n, m) - 1
-    segs = [2 * (m - i) + 1 for i in range(2, m + 1)]
-    base = m - 1
-    out = []
-    # distribute the m-1 segments among the legs, each leg gets a subset
-    seen = set()
-
-    def rec(idx: int, legs: List[List[int]]):
-        if idx == len(segs):
-            lengths = tuple(sorted(base + sum(g) for g in legs))
-            if lengths not in seen:
-                seen.add(lengths)
-                out.append(lengths)
-            return
-        for g in legs:
-            g.append(segs[idx])
-            rec(idx + 1, legs)
-            g.pop()
-
-    rec(0, [[] for _ in range(n)])
-    return out
-
-
 def min_diameter(n: int, m: int) -> int:
     """Smallest diameter among extremal m-burnable spiders with n legs."""
+    if n < 3:
+        raise ValueError("n must be at least 3")
     if not 3 <= m <= 2 * n - 1:
         raise ValueError("min diameter formula needs 3 <= m <= 2n - 1")
     return 6 * m - 10
 
 
 def min_diameter_witness(n: int, m: int) -> Tuple[SpiderProfile, BurningSchedule]:
-    """An extremal spider of diameter 6m - 10 together with a witness."""
-    best: Optional[Tuple[int, ...]] = None
-    target = min_diameter(n, m)
-    for lengths in _extremal_profiles(n, m):
-        prof = SpiderProfile(arm_lengths=lengths)
-        if prof.diameter == target:
-            best = lengths
-            break
-    if best is None:
-        raise ValueError(f"no extremal spider of diameter {target} for n={n}, m={m}")
-    profile = SpiderProfile(arm_lengths=best)
+    """An extremal spider of diameter 6m - 10 together with a witness.
+
+    The construction of the theorem's proof: every leg starts with the m-1
+    vertices the head's ball covers; two legs take the segments 2m-3 and
+    2m-5, and the segments 2m-7, ..., 3, 1 are paired largest with smallest,
+    each pair (sum 2m-6) on a leg of its own.  The two longest legs then have
+    lengths 3m-4 and 3m-6, and the pairs need ceil((m-3)/2) <= n-2 legs,
+    which is m <= 2n-1.
+    """
+    min_diameter(n, m)  # rejects m outside 3..2n-1
+    segments = list(range(2 * m - 7, 0, -2))
+    legs = [3 * m - 4, 3 * m - 6]
+    while segments:
+        legs.append(m - 1 + segments.pop(0) + (segments.pop() if segments else 0))
+    legs += [m - 1] * (n - len(legs))
+    profile = SpiderProfile(arm_lengths=tuple(sorted(legs)))
     return profile, witness_schedule(profile, m)
 
 

@@ -83,15 +83,15 @@ class Decomposition:
     internal_paths: List[Tuple[int, int, Tuple[int, ...]]]
 
 
-def _walk(tree: Tree, start: int, first: int, branch: frozenset) -> List[int]:
+def _walk(tree: Tree, start: int, first: int) -> List[int]:
     """Follow the path from a branch vertex into direction `first` until the
     next branch vertex or a leaf; returns the full vertex path."""
     path = [start, first]
     prev, cur = start, first
-    while cur not in branch and tree.degree(cur) == 2:
-        nxt = [w for w in tree.neighbors(cur) if w != prev][0]
-        path.append(nxt)
-        prev, cur = cur, nxt
+    while tree.degree(cur) == 2:  # branch vertices have degree >= 3
+        a, b = tree.neighbors(cur)
+        prev, cur = cur, b if a == prev else a
+        path.append(cur)
     return path
 
 
@@ -105,7 +105,7 @@ def decompose(tree: Tree) -> Decomposition:
     seen_internal = set()
     for v in sorted(branch):
         for w in tree.neighbors(v):
-            path = _walk(tree, v, w, branch)
+            path = _walk(tree, v, w)
             end = path[-1]
             if end in branch:
                 key = _pair(v, end)

@@ -3,7 +3,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from treeburn import spider
 from treeburn.burning import (
     BurningSchedule,
     _forest_groups,
@@ -17,7 +19,7 @@ from treeburn.burning import (
     verify_schedule,
 )
 from treeburn.spider import extremal_order
-from treeburn.tree import Tree, make_path, make_spider, make_star
+from treeburn.tree import Tree, make_path, make_spider, make_star, parse_tree
 
 from conftest import random_tree
 
@@ -58,11 +60,20 @@ def brute_forest_burnable(path_orders, m):
     return False
 
 
+def relabelled_path(n):
+    """Path on n vertices whose smallest id, vertices[0], sits in the middle."""
+    label = [3 * ((i - n // 2) % n) + 5 for i in range(n)]
+    return Tree([(label[i], label[i + 1]) for i in range(n - 1)], vertices=label[:1])
+
+
 def test_path_law_matches_sqrt():
-    for n in range(1, 50):
-        b, sched = burning_number(make_path(n))
-        assert b == math.ceil(math.sqrt(n)), n
-        assert verify_schedule(make_path(n), sched).is_burning_sequence
+    cases = [(n, make_path(n)) for n in range(1, 50)]
+    cases += [(n, relabelled_path(n)) for n in range(1, 50)]
+    cases.append((1, parse_tree("vertex 7")))
+    for n, t in cases:
+        b, sched = burning_number(t)
+        assert b == math.ceil(math.sqrt(n)), t.edges
+        assert verify_schedule(t, sched).is_burning_sequence
 
 
 def test_known_path_schedule():
@@ -109,6 +120,41 @@ def test_burning_number_matches_brute_force(rng):
 def test_long_path_burning_number():
     # deep enough that a recursive canonical form would overflow the stack
     assert burning_number(make_path(5000))[0] == 71
+
+
+def contract_edge(tree, u, v):
+    """T/e for the edge e = uv: v is merged into u."""
+    edges = [
+        (u if a == v else a, u if b == v else b)
+        for a, b in tree.edges
+        if {a, b} != {u, v}
+    ]
+    return Tree(edges, vertices=[u])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["tree", "path", "spider"]),
+    st.integers(min_value=2, max_value=30),
+    st.randoms(),
+)
+def test_contraction_never_raises_burning_number(shape, n, pyrng):
+    # the contraction map T -> T/e is 1-Lipschitz, so it takes a cover of T by
+    # balls of radii m-1..0 onto a cover of T/e; spiders with a leg of length
+    # one contract to paths, across the engine dispatch
+    rng = random.Random(pyrng.randint(0, 10**9))
+    if shape == "tree":
+        t = random_tree(rng, n)
+    elif shape == "path" or n < 4:
+        t = make_path(n)
+    else:
+        legs = [1] * rng.randint(3, min(6, n - 1))
+        for _ in range(n - 1 - len(legs)):
+            legs[rng.randrange(len(legs))] += 1
+        t = make_spider(legs)
+    b, _ = burning_number(t)
+    for u, v in t.edges:
+        assert burning_number(contract_edge(t, u, v))[0] <= b, (t.edges, u, v)
 
 
 def test_spider_solver_matches_brute_force(rng):
@@ -192,6 +238,9 @@ def test_tight_spider_theorem(rng):
             b, sched = burning_number(t)
             assert b == m, legs
             assert verify_schedule(t, sched).is_burning_sequence
+            head_first = spider.witness_schedule(spider.SpiderProfile(tuple(legs)), m)
+            assert head_first.sources[0] == 0, legs
+            assert verify_schedule(t, head_first).is_burning_sequence
             legs[rng.randrange(len(legs))] += 1
             t = make_spider(legs)
             b, sched = burning_number(t)

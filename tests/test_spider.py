@@ -47,6 +47,8 @@ def test_min_diameter_formula_bounds():
         min_diameter(3, 6)  # m > 2n - 1
     with pytest.raises(ValueError):
         min_diameter(3, 2)
+    with pytest.raises(ValueError):
+        min_diameter(2, 3)  # two legs make a path, not a spider
 
 
 def test_min_diameter_witness_n3_m5():
@@ -65,6 +67,18 @@ def test_min_diameter_witness_grid():
         assert prof.diameter == 6 * m - 10
         assert verify_schedule(prof.tree(), sched).is_burning_sequence
         assert burning_number(prof.tree())[0] == m
+
+
+def test_min_diameter_witness_construction():
+    for n in range(3, 11):
+        for m in range(3, 2 * n):
+            prof, sched = min_diameter_witness(n, m)
+            assert prof.legs == n
+            assert prof.order == extremal_order(n, m)
+            assert prof.diameter == 6 * m - 10
+            assert sched.sources[0] == 0  # the head burns in round 1
+            assert len(sched.sources) == m
+            assert verify_schedule(prof.tree(), sched).is_burning_sequence
 
 
 def test_verify_min_diameter_small():
