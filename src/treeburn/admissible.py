@@ -4,6 +4,9 @@ A sequence of rooted blocks partitions the branch vertices; its signature
 assigns each branch vertex the distance to its block root plus the block
 index.  Sequences induce concrete trees of a chosen degree m via two stages of
 arm/internal-path extension, and reduce to a unique canonical form.
+Canonical sequences are built directly, block by block
+(`enumerate_canonical`); `enumerate_admissible` with `is_canonical` is the
+brute-force reference.
 """
 
 from __future__ import annotations
@@ -374,24 +377,18 @@ def canonicalize(topology: Topology, seq: AdmissibleSequence) -> AdmissibleSeque
         current = reduced
 
 
-_enum_cache: Dict[Tuple, Tuple[AdmissibleSequence, ...]] = {}
-
-
 def enumerate_admissible(
     topology: Topology, max_length: int
 ) -> List[AdmissibleSequence]:
     """All admissible sequences of length <= max_length whose last block is
-    nonempty (trailing-empty variants are equivalent), in deterministic order."""
+    nonempty (trailing-empty variants are equivalent), in deterministic order.
+
+    The brute-force reference: it builds every block assignment and filters
+    it for connectivity.  The library builds canonical sequences directly
+    (`enumerate_canonical`); tests compare the two."""
     branch = sorted(topology.branch_vertices)
     if len(branch) > 8:
         raise ValueError("enumeration limited to 8 branch vertices")
-    key = (
-        tuple(branch),
-        tuple(topology.internal_edges()),
-        max_length,
-    )
-    if key in _enum_cache:
-        return list(_enum_cache[key])
     results = []
     for length in range(1, max_length + 1):
         for assignment in _assignments(topology, branch, length):
@@ -403,7 +400,6 @@ def enumerate_admissible(
             for blocks in _root_choices(groups):
                 results.append(AdmissibleSequence(blocks=blocks))
     results.sort(key=lambda s: (s.length, sequence_key(s)))
-    _enum_cache[key] = tuple(results)
     return results
 
 
@@ -448,15 +444,118 @@ def _root_choices(groups: List[List[int]]) -> Iterator[Tuple[Block, ...]]:
     yield from rec(0, [])
 
 
+# Largest branch-vertex count the canonical construction accepts.  The
+# worst skeleton is the star, which has the most connected subsets:
+# find_extremal on it took 18-19 s at k = 9 (1.5-2 s at k = 8), and on the
+# path-shaped skeleton about 5 s at k = 9 and 49 s at k = 10 (Python 3.11,
+# one core of a shared 2-core machine).
+MAX_BRANCH_VERTICES = 9
+
+
+def _canonical_sequences(
+    topology: Topology, max_length: int, empty_blocks: bool
+) -> Iterator[AdmissibleSequence]:
+    """Canonical admissible sequences of length <= max_length whose last
+    block is nonempty, built block by block.
+
+    Blocks 1, 2, ... are placed in order.  Block j is empty (only when
+    `empty_blocks` is true and j < max_length) or a connected set S of the
+    unplaced branch vertices with a root r in S, which sets
+    sig(v) = d(r, v) + j for v in S.  The block is rejected as soon as some
+    v in S has a neighbour w placed earlier with sig(v) = sig(w) + 1: that
+    is a reduction site in `_reduction_sites`' sense.  A sequence is yielded
+    once every branch vertex is placed.
+
+    The check is exact.  Every adjacent pair in different blocks is tested
+    exactly once, when the later block is placed, and both signatures are
+    final by then.  So a completed sequence passes every test iff it has no
+    reduction site, and a prefix that contains a site cannot be completed
+    to a canonical sequence.  The output, as a set, is therefore
+    ``[s for s in enumerate_admissible(t, L) if is_canonical(t, s)]``; with
+    `empty_blocks` false it is the part of that set without an empty block.
+    """
+    branch = sorted(topology.branch_vertices)
+    k = len(branch)
+    if k > MAX_BRANCH_VERTICES:
+        raise ValueError(
+            f"enumeration limited to {MAX_BRANCH_VERTICES} branch vertices"
+        )
+    index = {v: i for i, v in enumerate(branch)}
+    dist = [[topology.branch_distance(u, v) for v in branch] for u in branch]
+    neighbors = [
+        [index[w] for w in topology.branch_neighbors(v)] for v in branch
+    ]
+    # Blocks by connected subset, as a bitmask: for each root r, the block,
+    # the offsets (v, d(r, v)) that give sig(v) = d(r, v) + j, and the site
+    # tests (w, d(r, v) - 1) for every neighbour w of a member v outside the
+    # subset, read as "sig(w) == d(r, v) - 1 + j".
+    blocks_of: Dict[int, List[Tuple[Block, tuple, tuple]]] = {}
+    for mask in range(1, 1 << k):
+        members = [i for i in range(k) if mask >> i & 1]
+        vertex_set = frozenset(branch[i] for i in members)
+        if not _connected(topology, vertex_set):
+            continue
+        blocks_of[mask] = []
+        for r in members:
+            d = dist[r]
+            blocks_of[mask].append((
+                Block(vertex_set=vertex_set, root=branch[r]),
+                tuple((i, d[i]) for i in members),
+                tuple(
+                    (w, d[i] - 1)
+                    for i in members
+                    for w in neighbors[i]
+                    if not mask >> w & 1
+                ),
+            ))
+    masks = list(blocks_of)
+    full = (1 << k) - 1
+    sig = [-1] * k  # -1 until placed; placed signatures are >= 1
+    blocks: List[Block] = []
+
+    def place(j: int, placed: int) -> Iterator[AdmissibleSequence]:
+        free = full ^ placed
+        if j == max_length:
+            # the last block must take every unplaced vertex
+            candidates = [free] if free in blocks_of else []
+        else:
+            candidates = masks
+            if empty_blocks:
+                blocks.append(EMPTY_BLOCK)
+                yield from place(j + 1, placed)
+                blocks.pop()
+        for mask in candidates:
+            if mask & placed:
+                continue
+            for block, offsets, tests in blocks_of[mask]:
+                for w, t in tests:
+                    if sig[w] == t + j:
+                        break
+                else:
+                    for i, d in offsets:
+                        sig[i] = d + j
+                    blocks.append(block)
+                    if mask == free:
+                        yield AdmissibleSequence(blocks=tuple(blocks))
+                    else:
+                        yield from place(j + 1, placed | mask)
+                    blocks.pop()
+                    for i, _ in offsets:
+                        sig[i] = -1
+
+    if max_length >= 1:
+        yield from place(1, 0)
+
+
 def enumerate_canonical(
     topology: Topology, max_length: int
 ) -> List[AdmissibleSequence]:
-    """All canonical admissible sequences of length <= max_length."""
-    return [
-        s
-        for s in enumerate_admissible(topology, max_length)
-        if is_canonical(topology, s)
-    ]
+    """All canonical admissible sequences of length <= max_length whose last
+    block is nonempty, sorted by length and then `sequence_key`."""
+    return sorted(
+        _canonical_sequences(topology, max_length, empty_blocks=True),
+        key=lambda s: (s.length, sequence_key(s)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +623,7 @@ def parse_block_lines(text: str, n_blocks: Optional[int] = None) -> AdmissibleSe
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] != "block":
+        if len(parts) < 3 or parts[0] != "block" or not parts[1].isdigit():
             raise ValueError(f"malformed line: {raw!r}")
         idx = int(parts[1])
         if len(parts) == 3 and parts[2] == "empty":

@@ -1,9 +1,12 @@
-"""Candidate pruning and order maximization for four-branch-vertex trees.
+"""Candidate pruning and order maximization over canonical sequences.
 
-The chain case A-B-C-D admits six canonical sequences that can win; the
-T-shape (B adjacent to A, C, D; arms sorted a >= c >= d) admits three.  The
-closed-form tables for their added-vertex counts, pairwise differences, and
-winning conditions are reproduced here and re-checked numerically.
+`find_extremal` works on any topology with at most
+`admissible.MAX_BRANCH_VERTICES` branch vertices.  With four branch
+vertices, the chain case A-B-C-D admits six canonical sequences that can
+win; the T-shape (B adjacent to A, C, D; arms sorted a >= c >= d) admits
+three.  The closed-form tables for their added-vertex counts, pairwise
+differences, and winning conditions are reproduced here and re-checked
+numerically.
 """
 
 from __future__ import annotations
@@ -86,25 +89,31 @@ def _prune_tag(topology: Topology, seq: AdmissibleSequence) -> Optional[str]:
 
 
 def find_extremal(topology: Topology, m: int, verify: bool = False) -> ExtremalResult:
-    """Maximize induced order over the surviving canonical sequences."""
+    """Maximize induced order over the surviving canonical sequences.
+
+    Canonical sequences are built without empty blocks, which is rule 2b
+    applied during construction: every built sequence ends in a nonempty
+    block, so any empty block would come before a nonempty one.  Rule 2c is
+    applied to each built sequence.  Only the running best is kept: largest
+    order, ties broken by least `sequence_key`.
+
+    Every candidate satisfies m > max signature: block j of a sequence
+    without empty blocks holds at most k - j + 1 of the k branch vertices,
+    so sig(v) <= (k - j) + j = k < m.  The one-block sequence survives both
+    rules, so a winner always exists."""
     n_br = len(topology.branch_vertices)
     if m <= n_br:
         raise ValueError(f"m must exceed the branch-vertex count {n_br}")
-    canon = adm.enumerate_canonical(topology, n_br)
-    kept = prune(topology, canon).candidates
-    scored = []
-    for seq, _ in kept:
-        sig = adm.signature(topology, seq)
-        if m <= max(sig.values()):
+    winner = None
+    best_order = -1
+    for seq in adm._canonical_sequences(topology, n_br, empty_blocks=False):
+        if _prune_tag(topology, seq) is not None:
             continue
-        scored.append((adm.induced_order(topology, seq, m), seq))
-    if not scored:
-        raise ValueError("no candidate satisfies m > max signature")
-    best_order = max(order for order, _ in scored)
-    winner = min(
-        (seq for order, seq in scored if order == best_order),
-        key=adm.sequence_key,
-    )
+        order = adm.induced_order(topology, seq, m)
+        if order > best_order or (
+            order == best_order and adm.sequence_key(seq) < adm.sequence_key(winner)
+        ):
+            winner, best_order = seq, order
     tree = adm.induce_tree(InducedSpec(topology=topology, sequence=winner, m=m))
     b = maximal = None
     if verify:

@@ -34,6 +34,11 @@ class Topology:
         self.tree = tree
         self.branch_vertices = frozenset(branch)
         self.leaves = frozenset(tree.leaves())
+        self._branch_nbrs = {
+            v: tuple(w for w in tree.neighbors(v) if w in self.branch_vertices)
+            for v in tree.vertices
+        }
+        self._branch_dist: Dict[int, Dict[int, int]] | None = None
 
     def arms(self) -> List[Tuple[int, int]]:
         """(branch vertex, leaf) pairs, sorted."""
@@ -53,12 +58,28 @@ class Topology:
         )
 
     def branch_neighbors(self, v: int) -> Tuple[int, ...]:
-        return tuple(
-            w for w in self.tree.neighbors(v) if w in self.branch_vertices
-        )
+        return self._branch_nbrs[v]
 
     def branch_distance(self, u: int, v: int) -> int:
-        return self.tree.dist[u][v]
+        """Distance between branch vertices u and v, read from a k x k table
+        that one BFS per branch vertex over the (connected) branch skeleton
+        builds on first use."""
+        if self._branch_dist is None:
+            table = {}
+            for s in self.branch_vertices:
+                dist = {s: 0}
+                frontier = [s]
+                while frontier:
+                    nxt = []
+                    for x in frontier:
+                        for w in self.branch_neighbors(x):
+                            if w not in dist:
+                                dist[w] = dist[x] + 1
+                                nxt.append(w)
+                    frontier = nxt
+                table[s] = dist
+            self._branch_dist = table
+        return self._branch_dist[u][v]
 
     def __repr__(self) -> str:
         return (

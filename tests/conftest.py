@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from treeburn import admissible as adm
 from treeburn.tree import Tree
 from treeburn.topology import Topology
 
@@ -47,3 +48,25 @@ def random_topology(rng: random.Random, max_branch: int = 5) -> Topology:
 @pytest.fixture
 def rng():
     return random.Random(20260826)
+
+
+@pytest.fixture(scope="session")
+def canonical_oracle():
+    """About 40 random topologies with at most 5 branch vertices, each with
+    its canonical sequences of length <= k + 1 by brute force: every
+    admissible sequence filtered by `is_canonical`, in enumeration order.
+    Shared because the brute force is the slow part."""
+    rng = random.Random(20260826)
+    out = []
+    for _ in range(40):
+        topo = random_topology(rng, 5)
+        k = len(topo.branch_vertices)
+        out.append((
+            topo,
+            [
+                s
+                for s in adm.enumerate_admissible(topo, k + 1)
+                if adm.is_canonical(topo, s)
+            ],
+        ))
+    return out

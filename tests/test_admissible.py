@@ -35,6 +35,9 @@ def test_parse_block_lines():
     assert s.length == 3
     assert s.blocks[1].empty
     assert s.blocks[2].root == 3
+    for bad in ("block", "block\n", "block x empty", "block 1"):
+        with pytest.raises(ValueError, match="malformed line"):
+            adm.parse_block_lines(bad)
 
 
 def test_validate_catches_errors():
@@ -163,3 +166,37 @@ def test_canonicalize_reaches_fixed_point(rng):
 def test_enumerate_admissible_all_valid():
     for s in adm.enumerate_admissible(TSHAPE, 3):
         assert adm.validate(TSHAPE, s) == []
+
+
+def test_enumerate_canonical_matches_brute_force(canonical_oracle):
+    # same list in the same order as the brute-force filter, L = 1..k+1 so
+    # trailing empty blocks are covered too
+    fixed = [
+        (
+            topo,
+            [
+                s
+                for s in adm.enumerate_admissible(topo, len(topo.branch_vertices) + 1)
+                if adm.is_canonical(topo, s)
+            ],
+        )
+        for topo in (CHAIN, TSHAPE, STAR)
+    ]
+    for topo, brute in fixed + canonical_oracle:
+        k = len(topo.branch_vertices)
+        for length in range(1, k + 2):
+            # the reference at length L is its prefix of length <= L
+            want = [s for s in brute if s.length <= length]
+            assert adm.enumerate_canonical(topo, length) == want, (topo, length)
+
+
+def test_canonical_construction_without_empty_blocks(canonical_oracle):
+    for topo, brute in canonical_oracle:
+        k = len(topo.branch_vertices)
+        got = adm._canonical_sequences(topo, k, empty_blocks=False)
+        want = [
+            s
+            for s in brute
+            if s.length <= k and not any(b.empty for b in s.blocks)
+        ]
+        assert sorted(got, key=lambda s: (s.length, adm.sequence_key(s))) == want

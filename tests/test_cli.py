@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,29 @@ def test_ext_search_verify(capsys):
     code, out = capture(capsys, ["ext", "search", "chain3333", "-m", "6", "--verify"])
     assert code == 0
     assert out.strip().endswith("b=6 maximal=true")
+
+
+def test_ext_search_above_branch_cap_is_domain_error(tmp_path, capsys):
+    from treeburn.admissible import MAX_BRANCH_VERTICES
+
+    k = MAX_BRANCH_VERTICES + 1
+    edges = [(i - 1, i) for i in range(1, k)]  # branch skeleton: a path
+    edges += [(0, k), (0, k + 1), (k - 1, k + 2), (k - 1, k + 3)]
+    edges += [(i, k + 3 + i) for i in range(1, k - 1)]
+    f = tmp_path / "topo.txt"
+    f.write_text("".join(f"edge {u} {v}\n" for u, v in edges))
+    start = time.perf_counter()
+    code = run(["ext", "search", str(f), "-m", str(k + 1)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert f"limited to {MAX_BRANCH_VERTICES} branch vertices" in capsys.readouterr().err
+
+
+def test_bare_block_line_is_malformed(tmp_path, capsys):
+    f = tmp_path / "seq.txt"
+    f.write_text("block\n")
+    assert run(["adm", "sig", "chain3333", "--seq", str(f)]) == 1
+    assert "error: malformed line" in capsys.readouterr().err
 
 
 def test_spider_witness_fields(capsys):

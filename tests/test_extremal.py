@@ -81,6 +81,27 @@ def test_find_extremal_star():
     assert res.sequence.trimmed().length == 1
 
 
+def test_find_extremal_matches_brute_force(canonical_oracle):
+    # reference: the best of prune(brute-force canonical sequences of
+    # length <= k), largest order first, then least sequence_key
+    for topo, brute in canonical_oracle:
+        k = len(topo.branch_vertices)
+        kept = prune(topo, [s for s in brute if s.length <= k]).candidates
+        for m in range(k + 1, k + 4):
+            scored = [
+                (adm.induced_order(topo, s, m), s)
+                for s, _ in kept
+                if max(adm.signature(topo, s).values()) < m
+            ]
+            best = max(order for order, _ in scored)
+            want = min(
+                (adm.sequence_key(s) for order, s in scored if order == best)
+            )
+            res = find_extremal(topo, m)
+            assert (res.order, adm.sequence_key(res.sequence)) == (best, want)
+            assert res.tree.order == best
+
+
 def test_find_extremal_verify():
     res = find_extremal(CHAIN, 5, verify=True)
     assert res.burning_number == 5
