@@ -616,7 +616,8 @@ def format_compact(
 
 def parse_block_lines(text: str, n_blocks: Optional[int] = None) -> AdmissibleSequence:
     """Parse the line format ``block <i> root <v> members <v1,v2,...>`` /
-    ``block <i> empty``."""
+    ``block <i> empty``.  Blocks are numbered from 1 (up to `n_blocks` when
+    given), each at most once; a missing block is empty."""
     entries: Dict[int, Block] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -626,6 +627,10 @@ def parse_block_lines(text: str, n_blocks: Optional[int] = None) -> AdmissibleSe
         if len(parts) < 3 or parts[0] != "block" or not parts[1].isdigit():
             raise ValueError(f"malformed line: {raw!r}")
         idx = int(parts[1])
+        if idx < 1 or (n_blocks is not None and idx > n_blocks):
+            raise ValueError(f"block {idx} out of range: {raw!r}")
+        if idx in entries:
+            raise ValueError(f"block {idx} given twice: {raw!r}")
         if len(parts) == 3 and parts[2] == "empty":
             entries[idx] = EMPTY_BLOCK
         elif len(parts) == 6 and parts[2] == "root" and parts[4] == "members":

@@ -75,8 +75,34 @@ class LnEstimate:
     vacuous: Tuple[int, ...]
 
 
+def _distances(tree: Tree, starts: Sequence[int], radius: int) -> Dict[int, int]:
+    """Distance to the nearest start for every vertex within `radius` of one,
+    by a BFS that stops at that depth."""
+    dist = dict.fromkeys(starts, 0)
+    frontier = list(dist)
+    for d in range(1, radius + 1):
+        nxt = []
+        for u in frontier:
+            for w in tree.neighbors(u):
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        if not nxt:
+            break
+        frontier = nxt
+    return dist
+
+
 def verify_schedule(tree: Tree, schedule: BurningSchedule) -> NeighborhoodCover:
-    """Compute the associated neighbourhoods and all flags exactly."""
+    """Compute the associated neighbourhoods and all flags exactly.
+
+    One BFS per source x_i, stopped at radius m-i, gives N_{m-i}[x_i] with
+    its distances, and every flag reads only those.  A violated distance
+    condition d(x_i, x_j) < j-i <= m-i puts x_j inside x_i's ball.  A leaf
+    burns in round min_i(i + d(x_i, leaf)); a term with the leaf outside
+    x_i's ball exceeds m, so once every vertex is covered the minimum is
+    taken over the balls that hold the leaf.
+    """
     m = schedule.length
     if m == 0:
         raise ValueError("empty schedule")
@@ -87,23 +113,22 @@ def verify_schedule(tree: Tree, schedule: BurningSchedule) -> NeighborhoodCover:
         if x in seen:
             raise ValueError(f"duplicate source {x}")
         seen.add(x)
-    # one BFS per source: every check below needs only distances from them
-    dists = [tree.distances_from(x) for x in schedule.sources]
-    hoods = tuple(
-        frozenset(v for v, dv in d.items() if dv <= m - i)
-        for i, d in enumerate(dists, start=1)
-    )
+    dists = [
+        _distances(tree, [x], m - i) for i, x in enumerate(schedule.sources, start=1)
+    ]
+    hoods = tuple(frozenset(d) for d in dists)
     union = frozenset().union(*hoods)
     covers_all = len(union) == tree.order
+    # a source outside x_i's ball is at distance > m-i-1 >= j-i
     distance_ok = all(
-        dists[i][schedule.sources[j]] >= j - i
+        dists[i].get(schedule.sources[j], m) >= j - i
         for i in range(m)
         for j in range(i + 1, m)
     )
     disjoint = sum(len(h) for h in hoods) == len(union)
     # a leaf burns in the last round iff its earliest fire arrives at round m
     leaves_last = covers_all and all(
-        min(i + d[leaf] for i, d in enumerate(dists, start=1)) == m
+        min(i + d[leaf] for i, d in enumerate(dists, start=1) if leaf in d) == m
         for leaf in tree.leaves()
     )
     branch = set(tree.branch_vertices())
@@ -382,38 +407,43 @@ def _witness_from_cover(
     """Turn a covering into a valid burning sequence by simulating the rounds.
 
     If the designated center is already burned when its round arrives, any
-    unburned vertex may be lit instead; the farthest one keeps coverage ample.
+    vertex that keeps the distance condition may be lit instead: an unburned
+    one when there is one, and of those the farthest from the sources placed
+    so far (ties to the smaller id), which keeps coverage ample.  The burned
+    set grows by its frontier.  The condition d(s_j, v) >= t - j for every
+    earlier round j forbids at round t exactly the vertices burned before
+    that round's spread, so a re-site needs one BFS, from all the sources at
+    once, for the distances it ranks by.
     """
     center_for = {k - 1 - r: c for r, c in cover}  # round index (0-based) -> center
     burned: set = set()
+    fresh: List[int] = []  # burned in the current round
     sources: List[int] = []
-    dist: List[Dict[int, int]] = []  # dist[j][v] = d(sources[j], v)
     for t in range(k):
-        if burned:
-            burned |= {
-                w for v in burned for w in tree.neighbors(v)
-            }
+        spread = []
+        for v in fresh:
+            for w in tree.neighbors(v):
+                if w not in burned:
+                    burned.add(w)
+                    spread.append(w)
+        fresh = spread
         c = center_for.get(t)
-        if c is None or c in burned or c in sources:
-            # any vertex respecting the pairwise distance constraints will do;
-            # an unburned one exists whenever coverage is still incomplete
-            candidates = [
-                v
-                for v in tree.vertices
-                if v not in sources
-                and all(d[v] >= t - j for j, d in enumerate(dist))
-            ]
-            if not candidates:
+        if c is None or c in burned:
+            # vertices burned only by this round's spread still keep the
+            # distance condition; an unburned one exists whenever coverage is
+            # still incomplete
+            pool = [v for v in tree.vertices if v not in burned] or fresh
+            if not pool:
                 raise AssertionError("no admissible source; cover was invalid")
-            unburned = [v for v in candidates if v not in burned]
-            pool = unburned or candidates
-            c = max(
-                pool,
-                key=lambda v: (min(d[v] for d in dist) if dist else 0, -v),
-            )
-        burned.add(c)
+            if sources:
+                near = _distances(tree, sources, tree.order)
+                c = max(pool, key=lambda v: (near[v], -v))
+            else:
+                c = min(pool)
+        if c not in burned:
+            burned.add(c)
+            fresh.append(c)
         sources.append(c)
-        dist.append(tree.distances_from(c))
     return BurningSchedule(sources=tuple(sources))
 
 
@@ -436,19 +466,46 @@ def is_m_burnable(tree: Tree, m: int, with_witness: bool = False):
     return True, witness
 
 
+def _scan_start(tree: Tree) -> int:
+    """The lower bound on b(tree) where `burning_number` starts its scan;
+    the proof is in that function's docstring."""
+    k = math.isqrt(diameter(tree)) + 1
+    if len(tree.branch_vertices()) <= 1:
+        extra = len(tree.leaves()) - 2
+        while k * k + extra * (k - 1) < tree.order:
+            k += 1
+    return k
+
+
 def burning_number(tree: Tree) -> Tuple[int, BurningSchedule]:
     """Smallest m with a valid burning sequence, plus an optimal witness.
 
-    The scan starts at ceil(sqrt(diam + 1)), which is sound: a longest path
-    has diam + 1 vertices, and in a tree a radius-r ball meets it in at most
-    2r + 1 of them (the ball's trace on a geodesic is a subpath within
-    distance r of one vertex), so k balls cover it only if
-    sum(2r + 1 for r < k) = k*k >= diam + 1.  Values of k that the decision
-    cache already records as not burnable are skipped; at each other k the
-    cover is computed once, and its outcome recorded.
+    The scan starts at a lower bound on b (`_scan_start`).  Every tree needs
+    ceil(sqrt(diam + 1)) rounds: a longest path has diam + 1 vertices, and
+    in a tree a radius-r ball meets it in at most 2r + 1 of them (the ball's
+    trace on a geodesic is a subpath within distance r of one vertex), so k
+    balls cover it only if sum(2r + 1 for r < k) = k*k >= diam + 1.
+
+    A tree with at most one branch vertex, n vertices and l leaves also
+    needs the least k with k*k + (l - 2)(k - 1) >= n.  For a path (l = 2)
+    this is the law n <= k*k, the diameter bound itself.  For a spider, take
+    a cover by balls of radii k-1..0 and its head ball B0 as in
+    `_cover_segments`: radius rho, centre at depth delta on one arm, largest
+    generic reach.  B0 covers the head, at most delta + rho vertices of its
+    own arm and at most rho - delta of each other arm, at most
+    1 + l*rho - (l - 2)*delta <= 1 + l*rho in all.  Every other ball meets
+    what B0 leaves in one interval of at most 2r + 1 vertices, so
+    n <= 1 + l*rho + k*k - (2*rho + 1) = k*k + (l - 2)*rho
+    <= k*k + (l - 2)(k - 1).  At the extremal order l(m-1) + 1 + (m-1)^2
+    the bound is m, and one vertex above it m + 1, so paths and tight
+    spiders take one cover.
+
+    Values of k that the decision cache already records as not burnable are
+    skipped; at each other k the cover is computed once, and its outcome
+    recorded.
     """
     key = canonical_key(tree)
-    k = math.isqrt(diameter(tree)) + 1
+    k = _scan_start(tree)
     while True:
         if _decision_cache.get((key, k)) is not False:
             cover = _cover_tree(tree, k)

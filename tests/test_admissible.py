@@ -38,6 +38,13 @@ def test_parse_block_lines():
     for bad in ("block", "block\n", "block x empty", "block 1"):
         with pytest.raises(ValueError, match="malformed line"):
             adm.parse_block_lines(bad)
+    with pytest.raises(ValueError, match="block 2 given twice"):
+        adm.parse_block_lines(text + "block 2 root 1 members 1\n")
+    with pytest.raises(ValueError, match="block 0 out of range"):
+        adm.parse_block_lines("block 0 empty\n" + text)
+    with pytest.raises(ValueError, match="block 3 out of range"):
+        adm.parse_block_lines(text, n_blocks=2)
+    assert adm.parse_block_lines(text, n_blocks=4).length == 4
 
 
 def test_validate_catches_errors():

@@ -1,0 +1,42 @@
+"""The benchmark harness runs end to end and every answer it times is right.
+
+One short untraced run per workload whose instances go through
+`burning_number`; the harness checks each answer against a known one and an
+independent schedule checker, outside its timed region.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["spider-tight", "path-scale"])
+def test_bench_workload_is_correct(workload):
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "perfbench/run.py",
+            "--workload",
+            workload,
+            "--seed",
+            "1",
+            "--seconds",
+            "1",
+            "--trace",
+            "0",
+        ],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["correct"] is True, proc.stderr
+    assert report["failed"] == 0, proc.stderr
+    assert report["attempted"] > 0

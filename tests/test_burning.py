@@ -8,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 from treeburn import spider
 from treeburn.burning import (
     BurningSchedule,
+    _cover_tree,
     _forest_groups,
+    _scan_start,
+    _witness_from_cover,
     PathForest,
     burning_number,
     enumerate_optimal_schedules,
@@ -97,6 +100,60 @@ def test_verify_rejects_bad_schedules():
         verify_schedule(p, BurningSchedule(sources=(99,)))
 
 
+def oracle_flags(tree, sources):
+    """Independent oracle: every verify_schedule field from the all-pairs
+    distance table, by the definitions."""
+    d = tree.dist
+    m = len(sources)
+    hoods = tuple(
+        frozenset(v for v in tree.vertices if d[x][v] <= m - i)
+        for i, x in enumerate(sources, start=1)
+    )
+    union = frozenset().union(*hoods)
+    covers_all = union == frozenset(tree.vertices)
+    leaves_last = covers_all and all(
+        min(i + d[x][leaf] for i, x in enumerate(sources, start=1)) == m
+        for leaf in tree.leaves()
+    )
+    branch = set(tree.branch_vertices())
+    lead = 0
+    while lead < m and sources[lead] in branch:
+        lead += 1
+    prefix = lead if lead and branch <= frozenset().union(*hoods[:lead]) else 0
+    return dict(
+        neighborhoods=hoods,
+        covers_all=covers_all,
+        distance_ok=all(
+            d[sources[i]][sources[j]] >= j - i for i in range(m) for j in range(i + 1, m)
+        ),
+        pairwise_disjoint=all(
+            not hoods[i] & hoods[j] for i in range(m) for j in range(i + 1, m)
+        ),
+        leaves_last=leaves_last,
+        branch_prefix_length=prefix,
+    )
+
+
+def test_verify_schedule_matches_distance_table(rng):
+    # random source tuples mostly fail to cover or break the distance
+    # condition; optimal witnesses and their prefixes add valid and tight ones
+    seen = set()
+    for _ in range(500):
+        t = random_tree(rng, rng.randint(1, 30))
+        if rng.random() < 0.25:
+            full = burning_number(t)[1].sources
+            sources = full[: rng.randint(1, len(full))]
+        else:
+            sources = tuple(rng.sample(t.vertices, min(t.order, rng.randint(1, 7))))
+        got = verify_schedule(t, BurningSchedule(sources=sources))
+        want = oracle_flags(t, sources)
+        for field, value in want.items():
+            assert getattr(got, field) == value, (t.edges, sources, field)
+        seen.update((f, bool(v)) for f, v in want.items() if f != "neighborhoods")
+    # every flag takes both values, and some prefix of branch vertices counts
+    assert len(seen) == 10, seen
+
+
 def test_star_burning_number():
     b, _ = burning_number(make_star(5))
     assert b == 2
@@ -115,6 +172,76 @@ def test_burning_number_matches_brute_force(rng):
         assert verify_schedule(t, sched).is_burning_sequence
         assert len(sched.sources) == b
         assert b == 1 or not is_m_burnable(t, b - 1), t.edges
+
+
+def reference_witness(tree, k, cover):
+    """Reference for `_witness_from_cover`: the plain O(n*k) simulation, with
+    a full BFS per source and every vertex tested against every source on a
+    re-site."""
+    center_for = {k - 1 - r: c for r, c in cover}
+    burned = set()
+    sources = []
+    dist = []
+    for t in range(k):
+        if burned:
+            burned |= {w for v in burned for w in tree.neighbors(v)}
+        c = center_for.get(t)
+        if c is None or c in burned or c in sources:
+            candidates = [
+                v
+                for v in tree.vertices
+                if v not in sources and all(d[v] >= t - j for j, d in enumerate(dist))
+            ]
+            if not candidates:
+                raise AssertionError("no admissible source; cover was invalid")
+            pool = [v for v in candidates if v not in burned] or candidates
+            c = max(pool, key=lambda v: (min(d[v] for d in dist) if dist else 0, -v))
+        burned.add(c)
+        sources.append(c)
+        dist.append(tree.distances_from(c))
+    return tuple(sources)
+
+
+def test_witness_matches_reference_simulation(rng):
+    def outcome(fn, *args):
+        try:
+            out = fn(*args)
+        except AssertionError:
+            return "invalid"
+        return getattr(out, "sources", out)
+
+    resited = invalid = 0
+    for _ in range(400):
+        t = random_tree(rng, rng.randint(1, 25))
+        k = burning_number(t)[0] + (rng.random() < 0.2)
+        cover = _cover_tree(t, k)
+        for _ in range(rng.randint(0, 3)):
+            if not cover:
+                break
+            at = rng.randrange(len(cover))
+            r, c = cover[at]
+            kind = rng.choice(["unused", "burned", "duplicate"])
+            if kind == "unused":
+                del cover[at]
+            elif kind == "burned":
+                # a centre within reach of an earlier round's fire
+                earlier = [(q, x) for q, x in cover if q > r]
+                if earlier:
+                    q, x = rng.choice(earlier)
+                    near = t.ball(x, q - r)
+                    cover[at] = (r, rng.choice(sorted(near)))
+            else:
+                cover[at] = (r, rng.choice(cover)[1])
+        want = outcome(reference_witness, t, k, cover)
+        assert outcome(_witness_from_cover, t, k, cover) == want, (t.edges, k, cover)
+        invalid += want == "invalid"
+        centres = dict(cover)
+        resited += want != "invalid" and any(
+            centres.get(k - 1 - i) != x for i, x in enumerate(want)
+        )
+    # most covers force a re-site; a few leave no admissible source, and
+    # both simulations must reject those
+    assert resited > 200 and 0 < invalid < 100, (resited, invalid)
 
 
 def test_long_path_burning_number():
@@ -162,6 +289,18 @@ def test_spider_solver_matches_brute_force(rng):
         arms = [rng.randint(1, 3) for _ in range(rng.randint(3, 4))]
         t = make_spider(arms)
         assert burning_number(t)[0] == brute_burning_number(t), arms
+
+
+def test_scan_start_never_exceeds_burning_number():
+    # the decision at start - 1 does not read the start bound, so it shows
+    # start <= b independently of burning_number
+    for legs in range(3, 6):
+        for arms in itertools.combinations_with_replacement(range(1, 7), legs):
+            t = make_spider(arms)
+            k = _scan_start(t)
+            assert k == 1 or not is_m_burnable(t, k - 1), arms
+    for n in range(1, 201):
+        assert _scan_start(make_path(n)) == math.isqrt(n - 1) + 1
 
 
 def test_is_m_burnable_monotone(rng):
@@ -235,6 +374,7 @@ def test_tight_spider_theorem(rng):
                 legs[rng.randrange(len(legs))] += 2 * (m - i) + 1
             t = make_spider(legs)
             assert t.order == extremal_order(len(legs), m)
+            assert _scan_start(t) == m, legs  # one cover finds b
             b, sched = burning_number(t)
             assert b == m, legs
             assert verify_schedule(t, sched).is_burning_sequence
@@ -243,6 +383,7 @@ def test_tight_spider_theorem(rng):
             assert verify_schedule(t, head_first).is_burning_sequence
             legs[rng.randrange(len(legs))] += 1
             t = make_spider(legs)
+            assert _scan_start(t) == m + 1, legs
             b, sched = burning_number(t)
             assert b == m + 1, legs
             assert verify_schedule(t, sched).is_burning_sequence

@@ -31,6 +31,16 @@ def test_burn_number_spider_shorthand(capsys):
     assert out.startswith("b=5")
 
 
+def test_burn_number_large_spider(capsys):
+    # the scan starts at b, and the witness and its check stay within the
+    # sources' neighbourhoods
+    start = time.perf_counter()
+    code, out = capture(capsys, ["burn", "number", "spider:10000,10000,10000"])
+    assert code == 0
+    assert out.startswith("b=173 sources=")
+    assert time.perf_counter() - start < 5.0
+
+
 def test_burn_check(capsys):
     code, out = capture(capsys, ["burn", "check", "path:9", "--seq", "6,2,0"])
     assert code == 0
@@ -154,6 +164,20 @@ def test_bare_block_line_is_malformed(tmp_path, capsys):
     f.write_text("block\n")
     assert run(["adm", "sig", "chain3333", "--seq", str(f)]) == 1
     assert "error: malformed line" in capsys.readouterr().err
+
+
+def test_repeated_or_out_of_range_block_is_an_error(tmp_path, capsys):
+    f = tmp_path / "seq.txt"
+    for text, named in (
+        ("block 1 root 0 members 0,1,2,3\nblock 1 root 3 members 0,1,2,3\n", "block 1 given twice"),
+        ("block 1 root 0 members 0,1,2,3\nblock 1 root 3 members 3\n", "block 1 given twice"),
+        ("block 0 root 0 members 0,1,2,3\n", "block 0 out of range"),
+    ):
+        f.write_text(text)
+        assert run(["adm", "sig", "chain3333", "--seq", str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {named}" in captured.err
 
 
 def test_spider_witness_fields(capsys):
