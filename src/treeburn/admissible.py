@@ -5,14 +5,15 @@ assigns each branch vertex the distance to its block root plus the block
 index.  Sequences induce concrete trees of a chosen degree m via two stages of
 arm/internal-path extension, and reduce to a unique canonical form.
 Canonical sequences are built directly, block by block
-(`enumerate_canonical`); `enumerate_admissible` with `is_canonical` is the
+(`enumerate_canonical`), and `best_canonical` scores them as it builds them
+to find the extremal one; `enumerate_admissible` with `is_canonical` is the
 brute-force reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .tree import Tree
 from .topology import Topology
@@ -156,7 +157,13 @@ def stage1_additions(
 ) -> Stage1Additions:
     """Arm extensions m - sig(v) - 1 and cross-block internal extensions
     2m - sig(v) - sig(v')."""
-    sig = signature(topology, seq)
+    return _stage1(topology, seq, signature(topology, seq), m)
+
+
+def _stage1(
+    topology: Topology, seq: AdmissibleSequence, sig: Dict[int, int], m: int
+) -> Stage1Additions:
+    """`stage1_additions` for a valid sequence whose signature is `sig`."""
     if m <= max(sig.values()):
         raise ValueError(f"m must exceed the maximum signature {max(sig.values())}")
     where = _block_index(seq)
@@ -213,10 +220,16 @@ class _BuildPlan:
     segments: Dict[int, Tuple[int, ...]]  # round -> inserted segment vertices
 
 
-def _build_induced(spec: InducedSpec) -> _BuildPlan:
+def _build_induced(
+    spec: InducedSpec, sig: Optional[Dict[int, int]] = None
+) -> _BuildPlan:
+    """The induced tree, its sources and segments.  `sig` is the sequence's
+    signature when the caller already holds it (the sequence is then taken
+    as valid); otherwise it is computed and the sequence validated."""
     topology, seq, m = spec.topology, spec.sequence, spec.m
-    sig = signature(topology, seq)
-    s1 = stage1_additions(topology, seq, m)
+    if sig is None:
+        sig = signature(topology, seq)
+    s1 = _stage1(topology, seq, sig, m)
     s2 = stage2_additions(seq, m)
     fresh = max(topology.tree.vertices) + 1
 
@@ -444,12 +457,102 @@ def _root_choices(groups: List[List[int]]) -> Iterator[Tuple[Block, ...]]:
     yield from rec(0, [])
 
 
-# Largest branch-vertex count the canonical construction accepts.  The
-# worst skeleton is the star, which has the most connected subsets:
-# find_extremal on it took 18-19 s at k = 9 (1.5-2 s at k = 8), and on the
-# path-shaped skeleton about 5 s at k = 9 and 49 s at k = 10 (Python 3.11,
-# one core of a shared 2-core machine).
-MAX_BRANCH_VERTICES = 9
+# Largest branch-vertex count the canonical construction accepts.  At k = 10
+# and m = k + 1, find_extremal takes about 1.0-1.2 s on the star-shaped
+# skeleton, 0.7-0.9 s on the path and 0.7-1.1 s on a caterpillar (a spine of
+# 5, one pendant branch vertex each); the search scores at m = k + 1 for
+# every m, so only building the larger tree grows with m.  At k = 11 the
+# same skeletons take 3.4-4.8 s (Python 3.11, one core of a shared 2-core
+# machine).
+MAX_BRANCH_VERTICES = 10
+
+
+class _Placement(NamedTuple):
+    """One connected block with one choice of root, as the construction
+    places it.  Members are branch-vertex indices (positions in the sorted
+    branch vertices); placed at index j, member i gets sig(i) = d + j."""
+
+    block: Block
+    key: tuple  # this block's entry of `sequence_key`
+    root: int  # index of the root
+    offsets: Tuple[Tuple[int, int], ...]  # (member i, d(root, i))
+    # (w, d(root, v)) for every skeleton edge from a member v to a w outside
+    # the block; with w placed earlier, the edge is a reduction site iff
+    # sig(w) = d(root, v) + j - 1.
+    edges_out: Tuple[Tuple[int, int], ...]
+    arms: int  # arms at the members
+    arm_dist: int  # sum over members of arms(v) * d(root, v)
+    out_dist: int  # sum of d(root, v) over edges_out
+    inner: int  # skeleton edges inside the block: members - 1
+
+
+class _BlockTable:
+    """Every connected block of a topology's branch skeleton, as a bitmask
+    over the sorted branch vertices, with each root's `_Placement`."""
+
+    def __init__(self, topology: Topology):
+        branch = sorted(topology.branch_vertices)
+        k = len(branch)
+        if k > MAX_BRANCH_VERTICES:
+            raise ValueError(
+                f"enumeration limited to {MAX_BRANCH_VERTICES} branch vertices"
+            )
+        index = {v: i for i, v in enumerate(branch)}
+        neighbors = [
+            [index[w] for w in topology.branch_neighbors(v)] for v in branch
+        ]
+        self.branch = branch
+        self.k = k
+        self.full = (1 << k) - 1
+        self.neighbor_bits = [sum(1 << w for w in nb) for nb in neighbors]
+        self.arms = arms = [
+            topology.tree.degree(v) - len(neighbors[i])
+            for i, v in enumerate(branch)
+        ]
+        dist = [[topology.branch_distance(u, v) for v in branch] for u in branch]
+        self.placements: Dict[int, List[_Placement]] = {}
+        for mask in range(1, self.full + 1):
+            members = [i for i in range(k) if mask >> i & 1]
+            vertex_set = frozenset(branch[i] for i in members)
+            if not _connected(topology, vertex_set):
+                continue
+            out = [(i, w) for i in members for w in neighbors[i] if not mask >> w & 1]
+            ids = tuple(branch[i] for i in members)
+            arms_in = sum(arms[i] for i in members)
+            entries = self.placements[mask] = []
+            for r in members:
+                d = dist[r]
+                entries.append(_Placement(
+                    Block(vertex_set, branch[r]),
+                    (ids, branch[r]),
+                    r,
+                    tuple([(i, d[i]) for i in members]),
+                    tuple([(w, d[i]) for i, w in out]),
+                    arms_in,
+                    sum([arms[i] * d[i] for i in members]),
+                    sum([d[i] for i, _ in out]),
+                    len(members) - 1,
+                ))
+        self.masks = list(self.placements)
+
+
+def _edges_to_placed(
+    edges_out: Tuple[Tuple[int, int], ...], sig: List[int], j: int
+) -> Optional[Tuple[int, int, int]]:
+    """The reduction-site test for a block placed at index j: None if some
+    edge from a member v to an earlier-placed w has sig(v) = sig(w) + 1;
+    otherwise (count, sum of d(root, v), sum of sig(w)) over the edges to
+    placed w.  Unplaced vertices hold sig -1 and are skipped."""
+    count = d_sum = s_sum = 0
+    for w, d in edges_out:
+        s = sig[w]
+        if s >= 0:
+            if s == d + j - 1:
+                return None
+            count += 1
+            d_sum += d
+            s_sum += s
+    return count, d_sum, s_sum
 
 
 def _canonical_sequences(
@@ -462,9 +565,9 @@ def _canonical_sequences(
     `empty_blocks` is true and j < max_length) or a connected set S of the
     unplaced branch vertices with a root r in S, which sets
     sig(v) = d(r, v) + j for v in S.  The block is rejected as soon as some
-    v in S has a neighbour w placed earlier with sig(v) = sig(w) + 1: that
-    is a reduction site in `_reduction_sites`' sense.  A sequence is yielded
-    once every branch vertex is placed.
+    v in S has a neighbour w placed earlier with sig(v) = sig(w) + 1
+    (`_edges_to_placed`): that is a reduction site in `_reduction_sites`'
+    sense.  A sequence is yielded once every branch vertex is placed.
 
     The check is exact.  Every adjacent pair in different blocks is tested
     exactly once, when the later block is placed, and both signatures are
@@ -474,77 +577,175 @@ def _canonical_sequences(
     ``[s for s in enumerate_admissible(t, L) if is_canonical(t, s)]``; with
     `empty_blocks` false it is the part of that set without an empty block.
     """
-    branch = sorted(topology.branch_vertices)
-    k = len(branch)
-    if k > MAX_BRANCH_VERTICES:
-        raise ValueError(
-            f"enumeration limited to {MAX_BRANCH_VERTICES} branch vertices"
-        )
-    index = {v: i for i, v in enumerate(branch)}
-    dist = [[topology.branch_distance(u, v) for v in branch] for u in branch]
-    neighbors = [
-        [index[w] for w in topology.branch_neighbors(v)] for v in branch
-    ]
-    # Blocks by connected subset, as a bitmask: for each root r, the block,
-    # the offsets (v, d(r, v)) that give sig(v) = d(r, v) + j, and the site
-    # tests (w, d(r, v) - 1) for every neighbour w of a member v outside the
-    # subset, read as "sig(w) == d(r, v) - 1 + j".
-    blocks_of: Dict[int, List[Tuple[Block, tuple, tuple]]] = {}
-    for mask in range(1, 1 << k):
-        members = [i for i in range(k) if mask >> i & 1]
-        vertex_set = frozenset(branch[i] for i in members)
-        if not _connected(topology, vertex_set):
-            continue
-        blocks_of[mask] = []
-        for r in members:
-            d = dist[r]
-            blocks_of[mask].append((
-                Block(vertex_set=vertex_set, root=branch[r]),
-                tuple((i, d[i]) for i in members),
-                tuple(
-                    (w, d[i] - 1)
-                    for i in members
-                    for w in neighbors[i]
-                    if not mask >> w & 1
-                ),
-            ))
-    masks = list(blocks_of)
-    full = (1 << k) - 1
-    sig = [-1] * k  # -1 until placed; placed signatures are >= 1
+    table = _BlockTable(topology)
+    placements = table.placements
+    sig = [-1] * table.k  # -1 until placed; placed signatures are >= 1
     blocks: List[Block] = []
 
-    def place(j: int, placed: int) -> Iterator[AdmissibleSequence]:
-        free = full ^ placed
+    def place(j: int, free: int, candidates: List[int]) -> Iterator[AdmissibleSequence]:
+        # candidates: the connected blocks inside `free`, the unplaced set
         if j == max_length:
             # the last block must take every unplaced vertex
-            candidates = [free] if free in blocks_of else []
-        else:
-            candidates = masks
-            if empty_blocks:
-                blocks.append(EMPTY_BLOCK)
-                yield from place(j + 1, placed)
-                blocks.pop()
+            candidates = [free] if free in placements else []
+        elif empty_blocks:
+            blocks.append(EMPTY_BLOCK)
+            yield from place(j + 1, free, candidates)
+            blocks.pop()
         for mask in candidates:
-            if mask & placed:
-                continue
-            for block, offsets, tests in blocks_of[mask]:
-                for w, t in tests:
-                    if sig[w] == t + j:
-                        break
+            rest = None
+            for p in placements[mask]:
+                if _edges_to_placed(p.edges_out, sig, j) is None:
+                    continue
+                for i, d in p.offsets:
+                    sig[i] = d + j
+                blocks.append(p.block)
+                if mask == free:
+                    yield AdmissibleSequence(blocks=tuple(blocks))
                 else:
-                    for i, d in offsets:
-                        sig[i] = d + j
-                    blocks.append(block)
-                    if mask == free:
-                        yield AdmissibleSequence(blocks=tuple(blocks))
-                    else:
-                        yield from place(j + 1, placed | mask)
-                    blocks.pop()
-                    for i, _ in offsets:
-                        sig[i] = -1
+                    if rest is None:
+                        rest = [b for b in candidates if not b & mask]
+                    yield from place(j + 1, free ^ mask, rest)
+                blocks.pop()
+                for i, _ in p.offsets:
+                    sig[i] = -1
 
     if max_length >= 1:
-        yield from place(1, 0)
+        yield from place(1, table.full, table.masks)
+
+
+def best_canonical(
+    topology: Topology, m: int
+) -> Tuple[int, AdmissibleSequence, Dict[int, int]]:
+    """(order, sequence, signature) of the canonical sequence without empty
+    blocks that passes rule 2c and has the largest induced order at m, ties
+    broken by least `sequence_key`.  Needs m > k, the branch-vertex count.
+
+    The search places blocks as `_canonical_sequences` does (same site
+    test, no empty block) and scores each block as it is placed.  For a
+    sequence of L nonempty blocks the induced order is
+    |T| + sum over arms (m - 1 - sig v) + sum over cross-block skeleton
+    edges (2m - sig u - sig v) + (m - L)^2, the last term being Stage 2.
+    So placing block j with root r and members S adds
+    sum_{v in S} arms(v) (m - 1 - d(r, v) - j), plus
+    2m - d(r, v) - j - sig(w) for each edge from v in S to an
+    earlier-placed w; a complete sequence adds (m - L)^2.
+
+    The winner does not depend on m.  Blocks are connected subtrees of the
+    skeleton tree, so L blocks leave exactly L - 1 cross-block edges, and
+    the order above equals |T| + m^2 + (A - 2) m - A + L^2
+    - sum over arms sig v - sum over cross edges (sig u + sig v), with A
+    the number of arms: m shifts every sequence's order by the same
+    amount.  The search therefore scores at the least allowed degree
+    m0 = k + 1, where the bound below is tightest, and adds
+    (m - m0)(m + m0 + A - 2) to the winner's order.
+
+    Rule 2c (`extremal._prune_tag`: roots of blocks i < j - 1 adjacent) is
+    tested when block j is placed, against the roots of blocks
+    1 .. j - 2.  Roots never change once placed, so a prefix that fails it
+    fails in every completion, and each pair of roots is tested once, when
+    the later one is placed: the test is exact.
+
+    Upper bound.  Let blocks 1 .. j - 1 be placed with score s.  In any
+    completion every unplaced v gets sig(v) >= j, and L >= j.  Every term
+    of the order is non-increasing in each signature and in L (as L <= k
+    < m), and an edge inside a block adds 0 <= 2m - sig u - sig v, since
+    every signature is at most k < m (block i holds at most k - i + 1
+    vertices).  Bounding each term at sig = j and L = j, the completion has
+    order at most
+    |T| + s + A_U (m - 1 - j) + sum_{placed w - unplaced v} (2m - j - sig w)
+    + E_UU (2m - 2j) + (m - j)^2,
+    where A_U counts the arms at unplaced vertices and E_UU the skeleton
+    edges between them.  A_U, E_UU and the count and sig-sum of the
+    placed-unplaced edges are carried down the recursion, so the bound
+    costs O(1) per prefix.  A prefix is cut only when its bound is strictly
+    below the best order found, so every sequence that ties the winner is
+    still compared by `sequence_key`.
+    """
+    k = len(topology.branch_vertices)
+    if m <= k:
+        raise ValueError(f"m must exceed the branch-vertex count {k}")
+    table = _BlockTable(topology)
+    placements = table.placements
+    m0 = k + 1  # the degree the search scores at
+    # larger blocks first: the one-block sequence scores high, so the bound
+    # starts cutting at once
+    masks = sorted(table.masks, key=lambda mask: -bin(mask).count("1"))
+    neighbor_bits = table.neighbor_bits
+    two_m0 = 2 * m0
+    sig = [-1] * k
+    stack: List[_Placement] = []
+    best_order = -1
+    best: List[_Placement] = []
+    best_key: Optional[tuple] = None
+
+    def place(j, free, candidates, old_roots, last_root, score, arms_free,
+              cross_count, cross_sig, free_edges):
+        # candidates: the connected blocks inside `free`, the unplaced set;
+        # old_roots: roots of blocks 1 .. j - 2; last_root: root of j - 1
+        nonlocal best_order, best, best_key
+        arm_rate = m0 - 1 - j
+        cross_rate = two_m0 - j
+        for mask in candidates:
+            complete = mask == free
+            rest = None
+            for p in placements[mask]:
+                if neighbor_bits[p.root] & old_roots:
+                    continue
+                hit = _edges_to_placed(p.edges_out, sig, j)
+                if hit is None:
+                    continue
+                n_placed, d_placed, s_placed = hit
+                gained = (
+                    score + p.arms * arm_rate - p.arm_dist
+                    + n_placed * cross_rate - d_placed - s_placed
+                )
+                if complete:
+                    order = gained + (m0 - j) ** 2
+                    if order > best_order:
+                        best_order, best, best_key = order, stack + [p], None
+                    elif order == best_order:
+                        if best_key is None:
+                            best_key = tuple(q.key for q in best)
+                        key = tuple(q.key for q in stack) + (p.key,)
+                        if key < best_key:
+                            best, best_key = stack + [p], key
+                    continue
+                # the child's state, after block j
+                n_new = len(p.edges_out) - n_placed
+                c_arms = arms_free - p.arms
+                c_count = cross_count - n_placed + n_new
+                c_sig = cross_sig - s_placed + p.out_dist - d_placed + j * n_new
+                c_edges = free_edges - n_new - p.inner
+                c = j + 1
+                bound = (
+                    gained + c_arms * (m0 - 1 - c) + c_count * (two_m0 - c)
+                    - c_sig + c_edges * (two_m0 - 2 * c) + (m0 - c) ** 2
+                )
+                if bound < best_order:
+                    continue
+                if rest is None:
+                    rest = [b for b in candidates if not b & mask]
+                for i, d in p.offsets:
+                    sig[i] = d + j
+                stack.append(p)
+                place(c, free ^ mask, rest, old_roots | last_root, 1 << p.root,
+                      gained, c_arms, c_count, c_sig, c_edges)
+                stack.pop()
+                for i, _ in p.offsets:
+                    sig[i] = -1
+
+    arms = sum(table.arms)
+    place(1, table.full, masks, 0, 0, 0, arms, 0, 0, k - 1)
+    signature_of = {
+        table.branch[i]: d + j
+        for j, p in enumerate(best, start=1)
+        for i, d in p.offsets
+    }
+    return (
+        topology.tree.order + best_order + (m - m0) * (m + m0 + arms - 2),
+        AdmissibleSequence(blocks=tuple(p.block for p in best)),
+        signature_of,
+    )
 
 
 def enumerate_canonical(

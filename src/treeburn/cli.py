@@ -278,17 +278,21 @@ def _cmd_ext_tables(args) -> int:
         raise DomainError("ext tables needs --shape, --degrees-grid, and --m-grid")
     degrees = _parse_grid(args.degrees_grid)
     m_grid = [int(x) for x in args.m_grid.split(",")]
+    # every input is checked before the first line is printed
+    for m in m_grid:
+        if m <= 4:
+            raise DomainError(f"m must exceed the branch-vertex count 4, got {m}")
+    cases = [extremal.FourBranchCase(shape=args.shape, degrees=d) for d in degrees]
+    winners = [extremal.four_branch_lookup(case) for case in cases]
     names = (
         extremal.CHAIN_SEQUENCES if args.shape == "chain" else extremal.TSHAPE_SEQUENCES
     )
     sep = "\t" if args.format == "tsv" else " "
     print(sep.join(["degrees", "m", "winner"] + names))
-    for degs in degrees:
-        case = extremal.FourBranchCase(shape=args.shape, degrees=degs)
+    for degs, case, winner in zip(degrees, cases, winners):
         topo, _, seqs = extremal.case_sequences(case)
         for m in m_grid:
-            row = [",".join(str(d) for d in degs), str(m)]
-            row.append(extremal.four_branch_lookup(case))
+            row = [",".join(str(d) for d in degs), str(m), winner]
             for name in names:
                 row.append(str(adm.induced_order(topo, seqs[name], m)))
             print(sep.join(row))

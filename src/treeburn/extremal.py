@@ -91,30 +91,21 @@ def _prune_tag(topology: Topology, seq: AdmissibleSequence) -> Optional[str]:
 def find_extremal(topology: Topology, m: int, verify: bool = False) -> ExtremalResult:
     """Maximize induced order over the surviving canonical sequences.
 
-    Canonical sequences are built without empty blocks, which is rule 2b
-    applied during construction: every built sequence ends in a nonempty
-    block, so any empty block would come before a nonempty one.  Rule 2c is
-    applied to each built sequence.  Only the running best is kept: largest
-    order, ties broken by least `sequence_key`.
+    The survivors are the canonical sequences without empty blocks (rule 2b
+    holds by construction: a built sequence ends in a nonempty block, so any
+    empty block would come before a nonempty one) that pass rule 2c.  The
+    winner has the largest order, ties broken by least `sequence_key`.
+    `admissible.best_canonical` finds it in one scored construction: order
+    per block, rule 2c at each root, prefixes cut by an upper bound on
+    order (proofs in its docstring).
 
     Every candidate satisfies m > max signature: block j of a sequence
     without empty blocks holds at most k - j + 1 of the k branch vertices,
     so sig(v) <= (k - j) + j = k < m.  The one-block sequence survives both
     rules, so a winner always exists."""
-    n_br = len(topology.branch_vertices)
-    if m <= n_br:
-        raise ValueError(f"m must exceed the branch-vertex count {n_br}")
-    winner = None
-    best_order = -1
-    for seq in adm._canonical_sequences(topology, n_br, empty_blocks=False):
-        if _prune_tag(topology, seq) is not None:
-            continue
-        order = adm.induced_order(topology, seq, m)
-        if order > best_order or (
-            order == best_order and adm.sequence_key(seq) < adm.sequence_key(winner)
-        ):
-            winner, best_order = seq, order
-    tree = adm.induce_tree(InducedSpec(topology=topology, sequence=winner, m=m))
+    best_order, winner, sig = adm.best_canonical(topology, m)
+    spec = InducedSpec(topology=topology, sequence=winner, m=m)
+    tree = adm._build_induced(spec, sig).tree
     b = maximal = None
     if verify:
         b, _ = burning.burning_number(tree)

@@ -268,6 +268,26 @@ def test_ext_tables_grid(capsys):
     assert "B_ACD" in lines[1] and "A_BD,C" in lines[2]
 
 
+@pytest.mark.parametrize(
+    "shape, grid, m_grid, error",
+    [
+        ("chain", "3,3,3,3", "4", "m must exceed the branch-vertex count 4"),
+        ("chain", "3,3,3,3", "6,3", "m must exceed the branch-vertex count 4"),
+        ("tshape", "3,4,5,3", "6", "tshape requires arm degrees sorted a >= c >= d"),
+        ("chain", "3,3,3,3;3,2,3,3", "6", "branch degrees must be at least 3"),
+    ],
+)
+def test_ext_tables_bad_input_prints_nothing(capsys, shape, grid, m_grid, error):
+    # every m and degree tuple is checked before the header is printed
+    code = run(
+        ["ext", "tables", "--shape", shape, "--degrees-grid", grid, "--m-grid", m_grid]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert error in captured.err
+
+
 def declared_console_script(name):
     """Return the ``module:function`` that pyproject.toml declares for the
     console script ``name`` under ``[project.scripts]``."""

@@ -1,9 +1,12 @@
 import itertools
+import random
 
 import pytest
 
+from conftest import random_topology
 from treeburn import admissible as adm
 from treeburn import extremal
+from treeburn.admissible import InducedSpec
 from treeburn.burning import burning_number, is_m_burnable, is_maximally_m_burnable
 from treeburn.extremal import (
     CHAIN_SEQUENCES,
@@ -20,10 +23,12 @@ from treeburn.extremal import (
 from treeburn.topology import (
     expand,
     LengthAssignment,
+    Topology,
     make_chain_topology,
     make_star_topology,
     make_tshape_topology,
 )
+from treeburn.tree import Tree
 
 CHAIN, CHAIN_LABELS = make_chain_topology(3, 3, 3, 3)
 
@@ -100,6 +105,72 @@ def test_find_extremal_matches_brute_force(canonical_oracle):
             res = find_extremal(topo, m)
             assert (res.order, adm.sequence_key(res.sequence)) == (best, want)
             assert res.tree.order == best
+
+
+def _reference_extremal(topo, ms):
+    """The search before scoring, as a reference: every canonical sequence
+    without empty blocks, rule 2c by `_prune_tag`, then `induced_order`;
+    the largest order wins, ties to the least `sequence_key`.  One pass
+    over the sequences serves every m in `ms`."""
+    k = len(topo.branch_vertices)
+    best = {m: (-1, None) for m in ms}
+    for seq in adm._canonical_sequences(topo, k, empty_blocks=False):
+        if extremal._prune_tag(topo, seq) is not None:
+            continue
+        for m in ms:
+            order = adm.induced_order(topo, seq, m)
+            best_order, winner = best[m]
+            if order > best_order or (
+                order == best_order
+                and adm.sequence_key(seq) < adm.sequence_key(winner)
+            ):
+                best[m] = (order, seq)
+    return best
+
+
+def _skeleton_topology(skeleton, k):
+    """k branch vertices joined by `skeleton`, each topped up to degree 3
+    with leaves."""
+    deg = [0] * k
+    for u, v in skeleton:
+        deg[u] += 1
+        deg[v] += 1
+    edges = list(skeleton)
+    nxt = k
+    for i in range(k):
+        for _ in range(max(3 - deg[i], 0)):
+            edges.append((i, nxt))
+            nxt += 1
+    return Topology(Tree(edges))
+
+
+def _scored_search_cases():
+    for k in range(3, 8):
+        yield _skeleton_topology([(0, i) for i in range(1, k)], k)
+    for k in range(3, 9):
+        yield _skeleton_topology([(i - 1, i) for i in range(1, k)], k)
+    for degrees in itertools.product(range(3, 7), repeat=4):
+        yield make_chain_topology(*degrees)[0]
+        a, b, c, d = degrees
+        if a >= c >= d:
+            yield make_tshape_topology(*degrees)[0]
+    rng = random.Random(9)
+    for _ in range(60):
+        yield random_topology(rng, 7)
+
+
+def test_find_extremal_matches_unscored_search():
+    # the scored search (order per block, rule 2c at the root, cut by the
+    # bound) against the loop it replaced: same order, sequence_key and tree
+    for topo in _scored_search_cases():
+        k = len(topo.branch_vertices)
+        ms = range(k + 1, k + 5)
+        for m, (order, seq) in _reference_extremal(topo, ms).items():
+            res = find_extremal(topo, m)
+            want_tree = adm.induce_tree(InducedSpec(topology=topo, sequence=seq, m=m))
+            assert res.order == order, (topo, m)
+            assert adm.sequence_key(res.sequence) == adm.sequence_key(seq), (topo, m)
+            assert res.tree.edges == want_tree.edges, (topo, m)
 
 
 def test_find_extremal_verify():
