@@ -9,15 +9,23 @@ condition).  Two engines decide coverage, each with its proof in its
 docstring.  Trees with at most one branch vertex (paths and spiders) go to
 the segment engine: it tries each ball through the head and covers the arm
 suffixes left over with an exact path-forest DP, which alone decides a path
-(the law n <= m*m).  Every other tree goes to a memoized search that branches
-only on which radius covers a deepest uncovered vertex, with the ball's
-center fixed by an exchange argument.
+(the law n <= m*m).  Every other tree goes to a search that branches only
+on which radius covers a deepest uncovered vertex, with the ball's center
+fixed by an exchange argument.
+
+Burnability is monotone in m, so what the general search proves about a
+tree is one bracket per isomorphism class: lo < b(tree) <= hi, with lo the
+largest k proved not burnable and hi the least k proved burnable.  A memo
+keyed by canonical form keeps a bounded number of these brackets; trees
+with at most one branch vertex bypass it, since the segment engine is cheap
+and the scan for their burning number starts at b.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -381,24 +389,40 @@ def _cover_general(tree: Tree, m: int) -> Optional[List[Tuple[int, int]]]:
     return rec(tuple(range(m - 1, -1, -1)), (1 << len(verts)) - 1)
 
 
-def _cover_tree(tree: Tree, m: int) -> Optional[List[Tuple[int, int]]]:
-    if m < 1:
-        return None
-    if len(tree.branch_vertices()) <= 1:
-        # the path-forest DP keeps the arms' symmetry, which _cover_general's
-        # bitmask states lose: 0.11 s against 21 s on 192 tight-spider decisions
-        return _cover_segments(tree, m)
-    return _cover_general(tree, m)
+# Isomorphism classes whose brackets the memo keeps, well above the ~1,100
+# trees of one pass of order-39 chain(3,3,3,3) orbits.
+_MEMO_CLASSES = 4096
 
 
-_decision_cache: Dict[Tuple[str, int], bool] = {}
+class _BracketMemo:
+    """Bracket (lo, hi) on b per canonical key: lo the largest k proved not
+    burnable (0 when none), hi the least k proved burnable (None when none).
+    Holds at most `capacity` classes and forgets the oldest first."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._brackets: "OrderedDict[str, List[Optional[int]]]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._brackets)
+
+    def bracket(self, key: str) -> Tuple[int, Optional[int]]:
+        lo, hi = self._brackets.get(key, (0, None))
+        return lo, hi
+
+    def record(self, key: str, k: int, burnable: bool) -> None:
+        entry = self._brackets.get(key)
+        if entry is None:
+            if len(self._brackets) >= self.capacity:
+                self._brackets.popitem(last=False)
+            entry = self._brackets[key] = [0, None]
+        if burnable:
+            entry[1] = k if entry[1] is None else min(entry[1], k)
+        else:
+            entry[0] = max(entry[0], k)
 
 
-def _decide_cover(tree: Tree, m: int) -> bool:
-    key = (canonical_key(tree), m)
-    if key not in _decision_cache:
-        _decision_cache[key] = _cover_tree(tree, m) is not None
-    return _decision_cache[key]
+_memo = _BracketMemo(_MEMO_CLASSES)
 
 
 def _witness_from_cover(
@@ -456,7 +480,18 @@ def is_m_burnable(tree: Tree, m: int, with_witness: bool = False):
     if m < 1:
         raise ValueError("m must be positive")
     # radii only grow with m, so deciding coverage at m itself suffices
-    ok = _decide_cover(tree, m)
+    if len(tree.branch_vertices()) <= 1:
+        ok = _cover_segments(tree, m) is not None
+    else:
+        key = canonical_key(tree)
+        lo, hi = _memo.bracket(key)
+        if m <= lo:
+            ok = False
+        elif hi is not None and m >= hi:
+            ok = True
+        else:
+            ok = _cover_general(tree, m) is not None
+            _memo.record(key, m, ok)
     if not with_witness:
         return ok
     if not ok:
@@ -500,19 +535,25 @@ def burning_number(tree: Tree) -> Tuple[int, BurningSchedule]:
     the bound is m, and one vertex above it m + 1, so paths and tight
     spiders take one cover.
 
-    Values of k that the decision cache already records as not burnable are
-    skipped; at each other k the cover is computed once, and its outcome
-    recorded.
+    A tree with two or more branch vertices starts past the largest k its
+    class's memo bracket records as not burnable.  Every k below the start
+    or the first cover found is proved not burnable, so the bracket becomes
+    (b - 1, b).  Paths and spiders neither read nor write the memo, and their
+    canonical form is never computed.
     """
-    key = canonical_key(tree)
     k = _scan_start(tree)
-    while True:
-        if _decision_cache.get((key, k)) is not False:
-            cover = _cover_tree(tree, k)
-            _decision_cache[(key, k)] = cover is not None
-            if cover is not None:
-                break
-        k += 1
+    if len(tree.branch_vertices()) <= 1:
+        # the path-forest DP keeps the arms' symmetry, which _cover_general's
+        # bitmask states lose: 0.11 s against 21 s on 192 tight-spider decisions
+        while (cover := _cover_segments(tree, k)) is None:
+            k += 1
+    else:
+        key = canonical_key(tree)
+        k = max(k, _memo.bracket(key)[0] + 1)
+        while (cover := _cover_general(tree, k)) is None:
+            k += 1
+        _memo.record(key, k - 1, False)
+        _memo.record(key, k, True)
     witness = _witness_from_cover(tree, k, cover)
     check = verify_schedule(tree, witness)
     assert check.is_burning_sequence
@@ -552,11 +593,13 @@ def enumerate_optimal_schedules(tree: Tree) -> Iterator[BurningSchedule]:
 def is_maximally_m_burnable(tree: Tree, m: int) -> bool:
     """True iff b(tree) = m and no single degree-2 insertion stays m-burnable.
 
-    Insertion positions are tried once per homeomorphic class (memoized via
-    canonical tree hashing inside the decision cache).
+    b = m is decided as m-burnable and not (m-1)-burnable; after
+    `burning_number` on a tree with two or more branch vertices, the memo
+    bracket answers both without a search.  Subdivided trees are tried once
+    per isomorphism class, through a local set of canonical keys.
     """
-    b, _ = burning_number(tree)
-    if b != m:
+    if m < 1 or not is_m_burnable(tree, m) or (m > 1 and is_m_burnable(tree, m - 1)):
+        b, _ = burning_number(tree)
         raise ValueError(f"tree has burning number {b}, not {m}")
     if tree.is_path():
         return not is_m_burnable(make_path(tree.order + 1), m)

@@ -60,6 +60,7 @@ class Tree:
         self.edges: Tuple[Tuple[int, int], ...] = tuple(sorted(edge_set))
         self._adj = adj
         self._dist: Dict[int, Dict[int, int]] | None = None
+        self._branch: Tuple[int, ...] | None = None
 
     @property
     def order(self) -> int:
@@ -80,10 +81,14 @@ class Tree:
         return tuple(v for v in self.vertices if self.degree(v) == 1)
 
     def branch_vertices(self) -> Tuple[int, ...]:
-        return tuple(v for v in self.vertices if self.degree(v) >= 3)
+        """Vertices of degree at least 3, found on first use and kept."""
+        if self._branch is None:
+            adj = self._adj
+            self._branch = tuple(v for v in self.vertices if len(adj[v]) >= 3)
+        return self._branch
 
     def is_path(self) -> bool:
-        return all(self.degree(v) <= 2 for v in self.vertices)
+        return not self.branch_vertices()
 
     def distances_from(self, source: int) -> Dict[int, int]:
         if source not in self._adj:
@@ -231,39 +236,33 @@ def subdivide_edge(tree: Tree, u: int, v: int) -> Tree:
 
 
 def _centroid(tree: Tree) -> Tuple[int, ...]:
-    """The one or two centroid vertices (minimising the max subtree size)."""
-    if tree.order == 1:
-        return tree.vertices
+    """The one or two centroid vertices (minimising the max subtree size).
+
+    A vertex is a centroid iff removing it leaves no component of more than
+    n/2 vertices.  One BFS gives subtree sizes; from the root, step to the
+    child whose subtree holds more than n/2 vertices while there is one.  The
+    side above each step holds fewer than n/2, so the vertex reached is a
+    centroid, and a second one is its child with exactly n/2 below it.
+    """
+    adj = tree._adj
     root = tree.vertices[0]
     parent = {root: None}
-    order = []
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in tree.neighbors(u):
+    order = [root]
+    for u in order:
+        for w in adj[u]:
             if w != parent[u]:
                 parent[w] = u
-                stack.append(w)
-    size = {v: 1 for v in tree.vertices}
-    for u in reversed(order):
-        if parent[u] is not None:
-            size[parent[u]] += size[u]
+                order.append(w)
+    size = dict.fromkeys(order, 1)
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
     n = tree.order
-    best = None
-    cents: List[int] = []
-    for v in tree.vertices:
-        heavy = max(
-            [size[w] for w in tree.neighbors(v) if w != parent[v]]
-            + ([n - size[v]] if parent[v] is not None else []),
-            default=0,
-        )
-        if best is None or heavy < best:
-            best = heavy
-            cents = [v]
-        elif heavy == best:
-            cents.append(v)
-    return tuple(sorted(cents))
+    v = root
+    while True:
+        heavy = [w for w in adj[v] if w != parent[v] and 2 * size[w] >= n]
+        if not heavy or 2 * size[heavy[0]] == n:
+            return tuple(sorted([v] + heavy))
+        v = heavy[0]
 
 
 def _rooted_encoding(tree: Tree, root: int, block: int | None = None) -> str:

@@ -17,7 +17,9 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["spider-tight", "path-scale", "adm-search"])
+@pytest.mark.parametrize(
+    "workload", ["chain-sweep", "spider-tight", "path-scale", "adm-search"]
+)
 def test_bench_workload_is_correct(workload):
     proc = subprocess.run(
         [

@@ -5,10 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeburn import spider
+from treeburn import burning, spider
 from treeburn.burning import (
     BurningSchedule,
-    _cover_tree,
+    _cover_general,
+    _cover_segments,
     _forest_groups,
     _scan_start,
     _witness_from_cover,
@@ -22,7 +23,15 @@ from treeburn.burning import (
     verify_schedule,
 )
 from treeburn.spider import extremal_order
-from treeburn.tree import Tree, make_path, make_spider, make_star, parse_tree
+from treeburn.topology import LengthAssignment, expand, make_chain_topology
+from treeburn.tree import (
+    Tree,
+    canonical_key,
+    make_path,
+    make_spider,
+    make_star,
+    parse_tree,
+)
 
 from conftest import random_tree
 
@@ -214,7 +223,8 @@ def test_witness_matches_reference_simulation(rng):
     for _ in range(400):
         t = random_tree(rng, rng.randint(1, 25))
         k = burning_number(t)[0] + (rng.random() < 0.2)
-        cover = _cover_tree(t, k)
+        engine = _cover_segments if len(t.branch_vertices()) <= 1 else _cover_general
+        cover = engine(t, k)
         for _ in range(rng.randint(0, 3)):
             if not cover:
                 break
@@ -310,6 +320,97 @@ def test_is_m_burnable_monotone(rng):
         assert not is_m_burnable(t, b - 1) if b > 1 else True
         assert is_m_burnable(t, b)
         assert is_m_burnable(t, b + 1)
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty bracket memo with the module's bound, for this test only."""
+    memo = burning._BracketMemo(burning._MEMO_CLASSES)
+    monkeypatch.setattr(burning, "_memo", memo)
+    return memo
+
+
+def test_paths_and_spiders_skip_the_memo(monkeypatch, fresh_memo, rng):
+    def refuse(tree):
+        raise AssertionError("canonical_key called")
+
+    monkeypatch.setattr(burning, "canonical_key", refuse)
+    cases = [(make_path(n), math.isqrt(n - 1) + 1) for n in (1, 2, 9, 10, 50)]
+    for _ in range(8):
+        legs = [rng.randint(1, 3) for _ in range(rng.randint(3, 4))]
+        t = make_spider(legs)
+        cases.append((t, brute_burning_number(t)))
+    for t, want in cases:
+        b, sched = burning_number(t)
+        assert b == want, t.edges
+        assert verify_schedule(t, sched).is_burning_sequence
+        assert is_m_burnable(t, b)
+        assert b == 1 or not is_m_burnable(t, b - 1)
+    assert len(fresh_memo) == 0
+
+
+def chain_images(v):
+    """The images of a chain(3,3,3,3) length vector (arms A1 A2 B C D1 D2,
+    then paths AB BC CD) under the chain's 8 automorphisms."""
+    a1, a2, b, c, d1, d2, e1, e2, e3 = v
+    out = []
+    for x in ((a1, a2, b, c, d1, d2, e1, e2, e3), (d1, d2, c, b, a1, a2, e3, e2, e1)):
+        for aa in ((x[0], x[1]), (x[1], x[0])):
+            for dd in ((x[4], x[5]), (x[5], x[4])):
+                out.append(aa + x[2:4] + dd + x[6:])
+    return out
+
+
+def test_memo_proves_b_minus_one_once_per_orbit(monkeypatch, fresh_memo):
+    chain, _ = make_chain_topology(3, 3, 3, 3)
+    arms, internals = chain.arms(), chain.internal_edges()
+    images = chain_images((4, 5, 6, 7, 4, 5, 3, 2, 2))
+    trees = [
+        expand(chain, LengthAssignment(dict(zip(arms, v[:6])), dict(zip(internals, v[6:]))))
+        for v in images
+    ]
+    assert len(set(trees)) == 8 and {t.order for t in trees} == {39}
+    calls = []
+    engine = burning._cover_general
+
+    def counted(tree, m):
+        calls.append(m)
+        return engine(tree, m)
+
+    monkeypatch.setattr(burning, "_cover_general", counted)
+    below = []
+    for t in trees:
+        del calls[:]
+        b, sched = burning_number(t)
+        assert b == 6 and verify_schedule(t, sched).is_burning_sequence
+        below.append(sum(m < b for m in calls))
+    # the scan starts at 5 (diameter 17), so the first image proves k = 5
+    # infeasible and every other image starts at b from its class's bracket
+    assert below == [1] + [0] * 7
+    del calls[:]
+    assert not is_m_burnable(trees[3], 5) and is_m_burnable(trees[5], 6)
+    assert calls == []
+
+
+def test_memo_bound_and_eviction(monkeypatch, rng):
+    assert burning._memo.capacity == burning._MEMO_CLASSES
+    memo = burning._BracketMemo(6)
+    monkeypatch.setattr(burning, "_memo", memo)
+    trees, keys = [], set()
+    while len(trees) < 15:
+        t = random_tree(rng, rng.randint(6, 10))
+        if len(t.branch_vertices()) >= 2 and canonical_key(t) not in keys:
+            keys.add(canonical_key(t))
+            trees.append(t)
+    first = [burning_number(t)[0] for t in trees]
+    assert len(memo) == 6
+    assert memo.bracket(canonical_key(trees[0])) == (0, None)  # evicted
+    for t, want in zip(trees, first):
+        b, sched = burning_number(t)
+        assert b == want == brute_burning_number(t), t.edges
+        assert verify_schedule(t, sched).is_burning_sequence
+        assert is_m_burnable(t, b) and (b == 1 or not is_m_burnable(t, b - 1))
+        assert len(memo) <= 6
 
 
 def test_witness_option():

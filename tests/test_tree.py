@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from treeburn.tree import (
     Tree,
     TreeError,
+    _centroid,
     canonical_key,
     diameter,
     isomorphic,
@@ -151,3 +152,54 @@ def test_distance_symmetry(n, pyrng):
         for v in t.vertices:
             assert d[u][v] == d[v][u]
             assert (d[u][v] == 0) == (u == v)
+
+
+def brute_centroid(tree):
+    """Independent oracle: every vertex whose removal leaves no component of
+    more than n/2 vertices."""
+    n = tree.order
+    out = []
+    for v in tree.vertices:
+        seen = {v}
+        largest = 0
+        for w in tree.neighbors(v):
+            seen.add(w)
+            stack = [w]
+            size = 0
+            while stack:
+                size += 1
+                for x in tree.neighbors(stack.pop()):
+                    if x not in seen:
+                        seen.add(x)
+                        stack.append(x)
+            largest = max(largest, size)
+        if 2 * largest <= n:
+            out.append(v)
+    return tuple(out)
+
+
+def relabel(tree, rng):
+    """The same tree on random, non-contiguous ids."""
+    ids = dict(zip(tree.vertices, rng.sample(range(10 * tree.order + 10), tree.order)))
+    return Tree([(ids[a], ids[b]) for a, b in tree.edges], vertices=[ids[tree.vertices[0]]])
+
+
+def test_centroid_matches_brute_force():
+    rng = random.Random(20261018)
+    trees = [random_tree(rng, rng.randint(1, 60)) for _ in range(300)]
+    trees += [make_path(n) for n in range(1, 41)]
+    for _ in range(40):  # two copies of a tree joined by an edge: two centroids
+        half = random_tree(rng, rng.randint(1, 30))
+        shift = half.order
+        edges = list(half.edges) + [(a + shift, b + shift) for a, b in half.edges]
+        v = rng.choice(half.vertices)
+        trees.append(Tree(edges + [(v, v + shift)], vertices=[0, shift]))
+    for _ in range(40):
+        trees.append(make_spider([rng.randint(1, 8) for _ in range(rng.randint(3, 6))]))
+    trees += [relabel(t, rng) for t in list(trees)]
+    sizes = set()
+    for t in trees:
+        want = brute_centroid(t)
+        assert _centroid(t) == want, t.edges
+        sizes.add(len(want))
+    assert sizes == {1, 2}
