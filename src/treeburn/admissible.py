@@ -12,8 +12,10 @@ brute-force reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import count, islice, product
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .tree import Tree
 from .topology import Topology
@@ -59,13 +61,6 @@ class AdmissibleSequence:
         while blocks and blocks[-1].empty:
             blocks.pop()
         return AdmissibleSequence(blocks=tuple(blocks))
-
-    def padded(self, length: int) -> "AdmissibleSequence":
-        if length < self.length:
-            raise ValueError("cannot pad to a shorter length")
-        return AdmissibleSequence(
-            blocks=self.blocks + (EMPTY_BLOCK,) * (length - self.length)
-        )
 
 
 def sequences_equal(s: AdmissibleSequence, t: AdmissibleSequence) -> bool:
@@ -213,17 +208,18 @@ class InducedSpec:
     placement: Optional[Tuple[Tuple[int, Location], ...]] = None
 
 
-@dataclass
-class _BuildPlan:
-    tree: Tree
-    sources: Dict[int, int]  # round -> source vertex
-    segments: Dict[int, Tuple[int, ...]]  # round -> inserted segment vertices
+class InducedPlan(NamedTuple):
+    """Edges and order of the induced tree, and the source of each round."""
+
+    edges: List[Tuple[int, int]]
+    order: int
+    sources: Tuple[int, ...]
 
 
-def _build_induced(
+def induced_plan(
     spec: InducedSpec, sig: Optional[Dict[int, int]] = None
-) -> _BuildPlan:
-    """The induced tree, its sources and segments.  `sig` is the sequence's
+) -> InducedPlan:
+    """The induced tree's edges, order and sources.  `sig` is the sequence's
     signature when the caller already holds it (the sequence is then taken
     as valid); otherwise it is computed and the sequence validated."""
     topology, seq, m = spec.topology, spec.sequence, spec.m
@@ -231,13 +227,10 @@ def _build_induced(
         sig = signature(topology, seq)
     s1 = _stage1(topology, seq, sig, m)
     s2 = stage2_additions(seq, m)
-    fresh = max(topology.tree.vertices) + 1
+    fresh = count(max(topology.tree.vertices) + 1)
 
     def take(k: int) -> List[int]:
-        nonlocal fresh
-        out = list(range(fresh, fresh + k))
-        fresh += k
-        return out
+        return list(islice(fresh, k))
 
     # Stage 1: arms then internal paths, in sorted order.
     arm_paths: Dict[Tuple[int, int], List[int]] = {}
@@ -251,9 +244,8 @@ def _build_induced(
         # boundary between the coverage of u's source and v's source
         split_at[(u, v)] = 1 + (m - sig[u]) if interior else 1
     # Stage 2 placements.
-    arms_sorted = sorted(arm_paths)
     if spec.placement is None:
-        placement = tuple((i, ("arm", arms_sorted[0])) for i in s2.rounds)
+        placement = tuple((i, ("arm", min(arm_paths))) for i in s2.rounds)
     else:
         placement = spec.placement
         if sorted(i for i, _ in placement) != list(s2.rounds):
@@ -262,7 +254,6 @@ def _build_induced(
                 f"do not match the required rounds {list(s2.rounds)}"
             )
     sources: Dict[int, int] = {}
-    segments: Dict[int, Tuple[int, ...]] = {}
     for i, block in enumerate(seq.trimmed().blocks, start=1):
         if not block.empty:
             sources[i] = block.root
@@ -286,54 +277,40 @@ def _build_induced(
         else:
             raise ValueError(f"unknown placement kind {kind!r}")
         sources[i] = seg[m - i]
-        segments[i] = tuple(seg)
     edges = []
     for path in list(arm_paths.values()) + list(internal_paths.values()):
         edges.extend(zip(path, path[1:]))
-    return _BuildPlan(tree=Tree(edges), sources=sources, segments=segments)
+    return InducedPlan(
+        edges=edges,
+        order=topology.tree.order + s1.total + s2.total,
+        sources=tuple(sources[i] for i in range(1, m + 1)),
+    )
 
 
 def induce_tree(spec: InducedSpec) -> Tree:
     """Concrete tree induced by the sequence at degree m (default or explicit
     Stage-2 placement); its order always equals induced_order."""
-    return _build_induced(spec).tree
+    return Tree(induced_plan(spec).edges)
 
 
 def witness_schedule(spec: InducedSpec, tree: Optional[Tree] = None) -> BurningSchedule:
     """Length-m burning sequence with block roots as the early sources and
-    segment centers for the remaining rounds."""
-    plan = _build_induced(spec)
-    if tree is not None and tree.order != plan.tree.order:
+    segment centers for the remaining rounds.  Read off the plan; no tree is
+    built."""
+    plan = induced_plan(spec)
+    if tree is not None and tree.order != plan.order:
         raise ValueError("tree was not produced by this spec")
-    return BurningSchedule(
-        sources=tuple(plan.sources[i] for i in range(1, spec.m + 1))
-    )
+    return BurningSchedule(sources=plan.sources)
 
 
 def _rooted_descendants(
     topology: Topology, block: Block, v: int
 ) -> frozenset:
-    """Vertices of the subtree of the block hanging at v (away from the root)."""
-    if v == block.root:
-        return block.vertex_set
-    # orient the block's tree away from its root
-    parent = {block.root: None}
-    stack = [block.root]
-    while stack:
-        u = stack.pop()
-        for w in topology.branch_neighbors(u):
-            if w in block.vertex_set and w not in parent:
-                parent[w] = u
-                stack.append(w)
-    desc = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in topology.branch_neighbors(u):
-            if w in block.vertex_set and parent.get(w) == u and w not in desc:
-                desc.add(w)
-                stack.append(w)
-    return frozenset(desc)
+    """Vertices of the subtree of the block hanging at v (away from the root):
+    the u whose path from the root passes through v."""
+    d = topology.branch_distance
+    r = block.root
+    return frozenset(u for u in block.vertex_set if d(r, u) == d(r, v) + d(v, u))
 
 
 def _reduction_sites(
@@ -418,52 +395,24 @@ def enumerate_admissible(
 
 def _assignments(topology: Topology, branch, length) -> Iterator[Tuple[int, ...]]:
     """Maps branch vertex -> block index with connected nonempty blocks."""
-    n = len(branch)
-
-    def rec(pos: int, partial: List[int]) -> Iterator[Tuple[int, ...]]:
-        if pos == n:
-            groups: Dict[int, set] = {}
-            for v, idx in zip(branch, partial):
-                groups.setdefault(idx, set()).add(v)
-            if all(
-                _connected(topology, frozenset(g)) for g in groups.values()
-            ):
-                yield tuple(partial)
-            return
-        for idx in range(length):
-            partial.append(idx)
-            yield from rec(pos + 1, partial)
-            partial.pop()
-
-    yield from rec(0, [])
+    for assignment in product(range(length), repeat=len(branch)):
+        groups: Dict[int, set] = {}
+        for v, idx in zip(branch, assignment):
+            groups.setdefault(idx, set()).add(v)
+        if all(_connected(topology, frozenset(g)) for g in groups.values()):
+            yield assignment
 
 
 def _root_choices(groups: List[List[int]]) -> Iterator[Tuple[Block, ...]]:
-    def rec(i: int, acc: List[Block]) -> Iterator[Tuple[Block, ...]]:
-        if i == len(groups):
-            yield tuple(acc)
-            return
-        if not groups[i]:
-            acc.append(EMPTY_BLOCK)
-            yield from rec(i + 1, acc)
-            acc.pop()
-            return
-        vs = frozenset(groups[i])
-        for root in sorted(groups[i]):
-            acc.append(Block(vertex_set=vs, root=root))
-            yield from rec(i + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
+    return product(*(
+        [Block(frozenset(g), root) for root in sorted(g)] if g else [EMPTY_BLOCK]
+        for g in groups
+    ))
 
 
-# Largest branch-vertex count the canonical construction accepts.  At k = 10
-# and m = k + 1, find_extremal takes about 1.0-1.2 s on the star-shaped
-# skeleton, 0.7-0.9 s on the path and 0.7-1.1 s on a caterpillar (a spine of
-# 5, one pendant branch vertex each); the search scores at m = k + 1 for
-# every m, so only building the larger tree grows with m.  At k = 11 the
-# same skeletons take 3.4-4.8 s (Python 3.11, one core of a shared 2-core
-# machine).
+# Largest branch-vertex count the canonical construction accepts.  At
+# k = 10 one search takes about 1 s on the star-shaped skeleton, at k = 11
+# 3.4-4.8 s (Python 3.11, one core of a shared 2-core machine).
 MAX_BRANCH_VERTICES = 10
 
 
@@ -486,36 +435,56 @@ class _Placement(NamedTuple):
     inner: int  # skeleton edges inside the block: members - 1
 
 
-class _BlockTable:
-    """Every connected block of a topology's branch skeleton, as a bitmask
-    over the sorted branch vertices, with each root's `_Placement`."""
+def _skeleton(topology: Topology) -> Tuple[tuple, tuple, tuple]:
+    """All the search reads of a topology: sorted branch ids, sorted skeleton
+    edges and each branch vertex's arm count.  Leaf ids do not enter."""
+    branch = tuple(sorted(topology.branch_vertices))
+    nbrs = topology.branch_neighbors
+    return (
+        branch,
+        tuple(sorted((u, w) for u in branch for w in nbrs(u) if u < w)),
+        tuple(topology.tree.degree(v) - len(nbrs(v)) for v in branch),
+    )
 
-    def __init__(self, topology: Topology):
-        branch = sorted(topology.branch_vertices)
+
+class _BlockTable:
+    """Every connected block of a `_skeleton` triple, as a bitmask over the
+    sorted branch vertices, with each root's `_Placement`."""
+
+    def __init__(self, branch: tuple, skeleton: tuple, arms: tuple):
         k = len(branch)
         if k > MAX_BRANCH_VERTICES:
             raise ValueError(
                 f"enumeration limited to {MAX_BRANCH_VERTICES} branch vertices"
             )
         index = {v: i for i, v in enumerate(branch)}
-        neighbors = [
-            [index[w] for w in topology.branch_neighbors(v)] for v in branch
-        ]
-        self.branch = branch
+        neighbors: List[List[int]] = [[] for _ in branch]
+        for u, v in skeleton:
+            neighbors[index[u]].append(index[v])
+            neighbors[index[v]].append(index[u])
         self.k = k
         self.full = (1 << k) - 1
-        self.neighbor_bits = [sum(1 << w for w in nb) for nb in neighbors]
-        self.arms = arms = [
-            topology.tree.degree(v) - len(neighbors[i])
-            for i, v in enumerate(branch)
-        ]
-        dist = [[topology.branch_distance(u, v) for v in branch] for u in branch]
+        self.neighbor_bits = bits = [sum(1 << w for w in nb) for nb in neighbors]
+        dist = []  # one search of the skeleton tree per branch vertex
+        for s in range(k):
+            d = [-1] * k
+            d[s] = 0
+            stack = [s]
+            while stack:
+                x = stack.pop()
+                for w in neighbors[x]:
+                    if d[w] < 0:
+                        d[w] = d[x] + 1
+                        stack.append(w)
+            dist.append(d)
         self.placements: Dict[int, List[_Placement]] = {}
         for mask in range(1, self.full + 1):
             members = [i for i in range(k) if mask >> i & 1]
-            vertex_set = frozenset(branch[i] for i in members)
-            if not _connected(topology, vertex_set):
+            # the skeleton is a tree, so a vertex set is connected iff it
+            # spans |set| - 1 skeleton edges
+            if sum((bits[i] & mask).bit_count() for i in members) != 2 * len(members) - 2:
                 continue
+            vertex_set = frozenset(branch[i] for i in members)
             out = [(i, w) for i in members for w in neighbors[i] if not mask >> w & 1]
             ids = tuple(branch[i] for i in members)
             arms_in = sum(arms[i] for i in members)
@@ -577,7 +546,7 @@ def _canonical_sequences(
     ``[s for s in enumerate_admissible(t, L) if is_canonical(t, s)]``; with
     `empty_blocks` false it is the part of that set without an empty block.
     """
-    table = _BlockTable(topology)
+    table = _BlockTable(*_skeleton(topology))
     placements = table.placements
     sig = [-1] * table.k  # -1 until placed; placed signatures are >= 1
     blocks: List[Block] = []
@@ -660,16 +629,40 @@ def best_canonical(
     costs O(1) per prefix.  A prefix is cut only when its bound is strictly
     below the best order found, so every sequence that ties the winner is
     still compared by `sequence_key`.
+
+    Memo.  The search reads only `_skeleton`'s triple, and `_best_at_m0`
+    keeps its result for the last `_SEARCH_MEMO` triples: one search serves
+    every m and every topology with that labelled skeleton.  This is exact,
+    as |T| = k + A, and `sequence_key` reads only branch ids.
     """
     k = len(topology.branch_vertices)
     if m <= k:
         raise ValueError(f"m must exceed the branch-vertex count {k}")
-    table = _BlockTable(topology)
+    order, blocks, sig, arms = _best_at_m0(*_skeleton(topology))
+    m0 = k + 1
+    return (
+        order + (m - m0) * (m + m0 + arms - 2),
+        AdmissibleSequence(blocks=blocks),
+        dict(sig),
+    )
+
+
+# Labelled skeletons whose search result `_best_at_m0` keeps.  One pass of
+# the adm-search benchmark asks for 37 distinct skeletons.
+_SEARCH_MEMO = 256
+
+
+@lru_cache(maxsize=_SEARCH_MEMO)
+def _best_at_m0(branch: tuple, skeleton: tuple, arms: tuple):
+    """`best_canonical` at m0 = k + 1 for `_skeleton`'s triple, as immutable
+    values: (order at m0, blocks, ((vertex, sig), ...), A)."""
+    table = _BlockTable(branch, skeleton, arms)
     placements = table.placements
+    k = table.k
     m0 = k + 1  # the degree the search scores at
     # larger blocks first: the one-block sequence scores high, so the bound
     # starts cutting at once
-    masks = sorted(table.masks, key=lambda mask: -bin(mask).count("1"))
+    masks = sorted(table.masks, key=lambda mask: -mask.bit_count())
     neighbor_bits = table.neighbor_bits
     two_m0 = 2 * m0
     sig = [-1] * k
@@ -734,17 +727,13 @@ def best_canonical(
                 for i, _ in p.offsets:
                     sig[i] = -1
 
-    arms = sum(table.arms)
-    place(1, table.full, masks, 0, 0, 0, arms, 0, 0, k - 1)
-    signature_of = {
-        table.branch[i]: d + j
-        for j, p in enumerate(best, start=1)
-        for i, d in p.offsets
-    }
+    n_arms = sum(arms)
+    place(1, table.full, masks, 0, 0, 0, n_arms, 0, 0, k - 1)
     return (
-        topology.tree.order + best_order + (m - m0) * (m + m0 + arms - 2),
-        AdmissibleSequence(blocks=tuple(p.block for p in best)),
-        signature_of,
+        k + n_arms + best_order,
+        tuple(p.block for p in best),
+        tuple((branch[i], d + j) for j, p in enumerate(best, start=1) for i, d in p.offsets),
+        n_arms,
     )
 
 

@@ -475,10 +475,14 @@ def is_m_burnable(tree: Tree, m: int, with_witness: bool = False):
     """True iff a valid burning sequence of length <= m exists.
 
     With ``with_witness=True`` returns ``(bool, schedule-or-None)`` where the
-    witness has length b(tree) <= m.
+    witness has length b(tree) <= m: `burning_number`'s scan, stopped at m,
+    so one cover at b answers both.
     """
     if m < 1:
         raise ValueError("m must be positive")
+    if with_witness:
+        found = _scan(tree, m)
+        return (False, None) if found is None else (True, found[1])
     # radii only grow with m, so deciding coverage at m itself suffices
     if len(tree.branch_vertices()) <= 1:
         ok = _cover_segments(tree, m) is not None
@@ -492,13 +496,7 @@ def is_m_burnable(tree: Tree, m: int, with_witness: bool = False):
         else:
             ok = _cover_general(tree, m) is not None
             _memo.record(key, m, ok)
-    if not with_witness:
-        return ok
-    if not ok:
-        return False, None
-    b, witness = burning_number(tree)
-    assert b <= m
-    return True, witness
+    return ok
 
 
 def _scan_start(tree: Tree) -> int:
@@ -541,19 +539,31 @@ def burning_number(tree: Tree) -> Tuple[int, BurningSchedule]:
     (b - 1, b).  Paths and spiders neither read nor write the memo, and their
     canonical form is never computed.
     """
+    return _scan(tree, None)
+
+
+def _scan(tree: Tree, stop: Optional[int]) -> Optional[Tuple[int, BurningSchedule]]:
+    """`burning_number`'s scan, up to k = stop when stop is given: (b, a
+    verified witness), or None when no k <= stop has a cover.  On trees with
+    two or more branch vertices it records what it proved in the memo."""
     k = _scan_start(tree)
     if len(tree.branch_vertices()) <= 1:
         # the path-forest DP keeps the arms' symmetry, which _cover_general's
         # bitmask states lose: 0.11 s against 21 s on 192 tight-spider decisions
-        while (cover := _cover_segments(tree, k)) is None:
-            k += 1
+        key, cover_at = None, _cover_segments
     else:
-        key = canonical_key(tree)
+        key, cover_at = canonical_key(tree), _cover_general
         k = max(k, _memo.bracket(key)[0] + 1)
-        while (cover := _cover_general(tree, k)) is None:
-            k += 1
+    cover = None
+    while (stop is None or k <= stop) and (cover := cover_at(tree, k)) is None:
+        k += 1
+    # k - 1 is proved not burnable, by the start's bound or by a failed cover
+    if key is not None:
         _memo.record(key, k - 1, False)
-        _memo.record(key, k, True)
+        if cover is not None:
+            _memo.record(key, k, True)
+    if cover is None:
+        return None
     witness = _witness_from_cover(tree, k, cover)
     check = verify_schedule(tree, witness)
     assert check.is_burning_sequence

@@ -231,10 +231,10 @@ def _cmd_adm_induce(args) -> int:
     if args.m is None:
         raise DomainError("adm induce requires -m")
     spec = InducedSpec(topology=topo, sequence=seq, m=args.m)
-    tree = adm.induce_tree(spec)
-    sched = adm.witness_schedule(spec, tree)
+    plan = adm.induced_plan(spec)
+    tree = Tree(plan.edges)
     print(_emit([("order", str(tree.order))], args.format))
-    print(f"burn m={args.m} sources={_sources_str(sched)}")
+    print(f"burn m={args.m} sources={','.join(map(str, plan.sources))}")
     for u, v in tree.edges:
         print(f"edge {u} {v}")
     return 0

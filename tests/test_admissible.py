@@ -5,6 +5,7 @@ import pytest
 from treeburn import admissible as adm
 from treeburn.admissible import AdmissibleSequence, Block, InducedSpec
 from treeburn.burning import burning_number, is_m_burnable, verify_schedule
+from treeburn.tree import Tree
 from treeburn.topology import (
     make_chain_topology,
     make_star_topology,
@@ -113,6 +114,69 @@ def test_induced_tree_order_and_witness():
         flags = verify_schedule(tree, sched)
         assert flags.is_burning_sequence
         assert len(sched.sources) == m
+
+
+def _random_placement(rng, topo, s, m):
+    """A Stage-2 placement of every required round on a random arm or on a
+    random internal path longer than one edge."""
+    s1 = adm.stage1_additions(topo, s, m)
+    slots = [("arm", a) for a in topo.arms()]
+    slots += [("internal", e) for e, n in s1.internal_counts.items() if n]
+    return tuple((i, rng.choice(slots)) for i in adm.stage2_additions(s, m).rounds)
+
+
+def test_witness_schedule_reads_the_plan(rng, monkeypatch):
+    built = []
+    monkeypatch.setattr(adm, "Tree", lambda edges: built.append(1))
+    for _ in range(200):
+        topo = random_topology(rng, 4)
+        seqs = adm.enumerate_admissible(topo, 3)
+        s = seqs[rng.randrange(len(seqs))]
+        m = max(adm.signature(topo, s).values()) + rng.randint(1, 3)
+        placement = _random_placement(rng, topo, s, m) if rng.random() < 0.5 else None
+        spec = InducedSpec(topology=topo, sequence=s, m=m, placement=placement)
+        plan = adm.induced_plan(spec)
+        tree = Tree(plan.edges)
+        assert tree.order == plan.order == adm.induced_order(topo, s, m)
+        sched = adm.witness_schedule(spec, tree)
+        assert sched.sources == plan.sources and len(sched.sources) == m
+        assert verify_schedule(tree, sched).is_burning_sequence
+    assert built == []  # no tree is built to read the sources
+
+
+def test_witness_schedule_rejects_bad_input():
+    s = seq("A_B,C_D")
+    with pytest.raises(ValueError, match="not connected"):
+        adm.witness_schedule(InducedSpec(topology=CHAIN, sequence=seq("A_C,B_D"), m=6))
+    with pytest.raises(ValueError, match="maximum signature"):
+        adm.witness_schedule(InducedSpec(topology=CHAIN, sequence=s, m=3))
+    rounds = adm.stage2_additions(s, 6).rounds
+    arm = CHAIN.arms()[0]
+    bad_placements = [
+        (((rounds[0], ("arm", arm)),), "do not match the required rounds"),
+        (tuple((i, ("arm", (0, 99))) for i in rounds), "no arm"),
+        (tuple((i, ("internal", (0, 99))) for i in rounds), "no internal path"),
+        # A and B share a block, so their path is one edge long
+        (tuple((i, ("internal", (0, 1))) for i in rounds), "has length one"),
+        (tuple((i, ("spoke", arm)) for i in rounds), "unknown placement kind"),
+    ]
+    for placement, message in bad_placements:
+        spec = InducedSpec(topology=CHAIN, sequence=s, m=6, placement=placement)
+        with pytest.raises(ValueError, match=message):
+            adm.witness_schedule(spec)
+    spec = InducedSpec(topology=CHAIN, sequence=s, m=6)
+    with pytest.raises(ValueError, match="not produced by this spec"):
+        adm.witness_schedule(spec, adm.induce_tree(InducedSpec(topology=CHAIN, sequence=s, m=7)))
+
+
+def test_search_memo_is_bounded():
+    bound = adm._SEARCH_MEMO
+    adm._best_at_m0.cache_clear()
+    for n in range(3, 3 + bound + 20):
+        order, _, _ = adm.best_canonical(make_star_topology(n)[0], 2)
+        assert order == n + 2  # n(m-1) + 1 + (m-1)^2 at m = 2
+        assert adm._best_at_m0.cache_info().currsize <= bound
+    assert adm._best_at_m0.cache_info().currsize == bound
 
 
 def test_induced_tree_burning_number_is_m():

@@ -420,6 +420,38 @@ def test_witness_option():
     assert not ok and w is None
 
 
+def test_witness_option_covers_once(monkeypatch, fresh_memo):
+    # the witness comes from burning_number's scan stopped at m: one cover,
+    # at b, answers both the decision and the witness
+    calls = []
+    engine = burning._cover_segments
+
+    def counted(tree, m):
+        calls.append(m)
+        return engine(tree, m)
+
+    monkeypatch.setattr(burning, "_cover_segments", counted)
+    for t, m, b in ((make_spider([4, 6, 8]), 6, 4), (make_path(1000), 40, 32)):
+        del calls[:]
+        ok, w = is_m_burnable(t, m, with_witness=True)
+        assert ok and len(w.sources) == b and calls == [b]
+        assert verify_schedule(t, w).is_burning_sequence
+    del calls[:]
+    assert is_m_burnable(make_path(1000), 31, with_witness=True) == (False, None)
+    assert calls == []  # 31 is below the scan start, which is b
+    # on other trees the scan records the brackets burning_number records
+    chain, _ = make_chain_topology(3, 3, 3, 3)
+    arms, internals = chain.arms(), chain.internal_edges()
+    v = (4, 5, 6, 7, 4, 5, 3, 2, 2)
+    t = expand(chain, LengthAssignment(dict(zip(arms, v[:6])), dict(zip(internals, v[6:]))))
+    key = canonical_key(t)
+    assert is_m_burnable(t, 5, with_witness=True) == (False, None)
+    assert fresh_memo.bracket(key) == (5, None)
+    ok, w = is_m_burnable(t, 7, with_witness=True)
+    assert ok and len(w.sources) == 6 and verify_schedule(t, w).is_burning_sequence
+    assert fresh_memo.bracket(key) == (5, 6)
+
+
 def brute_groups_feasible(path_orders, radii):
     """Independent oracle: send each radius to one path or leave it unused."""
     k = len(path_orders)

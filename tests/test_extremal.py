@@ -173,6 +173,61 @@ def test_find_extremal_matches_unscored_search():
             assert res.tree.edges == want_tree.edges, (topo, m)
 
 
+def _answer(topo, m):
+    res = find_extremal(topo, m)
+    return res.order, adm.sequence_key(res.sequence), res.tree.edges
+
+
+def test_find_extremal_independent_of_m_order():
+    # one search per labelled skeleton serves every m: the answers do not
+    # depend on the order the m values are asked in, or on the memo
+    rng = random.Random(11)
+    topos = [CHAIN, make_tshape_topology(5, 4, 3, 3)[0]]
+    topos += [random_topology(rng, 7) for _ in range(6)]
+    for topo in topos:
+        k = len(topo.branch_vertices)
+        ms = list(range(k + 1, k + 9))
+        adm._best_at_m0.cache_clear()
+        want = {m: _answer(topo, m) for m in ms}
+        assert adm._best_at_m0.cache_info().misses == 1
+        shuffled = ms[:]
+        rng.shuffle(shuffled)
+        for order in (ms[::-1], shuffled):
+            assert {m: _answer(topo, m) for m in order} == want
+        adm._best_at_m0.cache_clear()
+        assert {m: _answer(topo, m) for m in shuffled} == want
+
+
+def _relabelled(topo, perm):
+    return Topology(Tree([(perm.get(u, u), perm.get(v, v)) for u, v in topo.tree.edges]))
+
+
+def test_memo_keeps_skeletons_apart():
+    tshape = make_tshape_topology(3, 3, 3, 3)[0]
+    pairs = [
+        # one arm count apart
+        (CHAIN, make_chain_topology(4, 3, 3, 3)[0]),
+        (tshape, make_tshape_topology(3, 4, 3, 3)[0]),
+        # branch ids only: the centre of the T moves from id 1 to id 0
+        (tshape, _relabelled(tshape, {0: 1, 1: 0})),
+        (CHAIN, _relabelled(CHAIN, {0: 2, 2: 0})),
+    ]
+    for first, second in pairs:
+        assert adm._skeleton(first) != adm._skeleton(second)
+        adm._best_at_m0.cache_clear()
+        fresh = _answer(second, 6)
+        adm._best_at_m0.cache_clear()
+        assert _answer(first, 6) != fresh
+        assert _answer(second, 6) == fresh
+    # leaf ids do not enter the search: a relabelled leaf shares the answer
+    leaf = max(CHAIN.leaves)
+    moved = _relabelled(CHAIN, {leaf: leaf + 100})
+    adm._best_at_m0.cache_clear()
+    order = find_extremal(CHAIN, 6).order
+    assert find_extremal(moved, 6).order == order
+    assert adm._best_at_m0.cache_info().misses == 1
+
+
 def test_find_extremal_verify():
     res = find_extremal(CHAIN, 5, verify=True)
     assert res.burning_number == 5
@@ -233,6 +288,21 @@ def test_verify_tables_negative_control():
     rep = verify_tables([(3, 3, 3, 3)], [6], "chain", stage_formulas=bad)
     assert not rep.ok
     assert any("A_B,C_D" in line for line in rep.mismatches)
+
+
+def test_verify_tables_reports_corrupted_difference_and_winner(monkeypatch):
+    bad = dict(extremal.CHAIN_DIFF)
+    bad[("A_B,C_D", "A_BC,D")] = lambda a, b, c, d, m: c - d + 1
+    rep = verify_tables([(3, 3, 3, 3)], [6], "chain", diff_formulas=bad)
+    assert rep.mismatches == [
+        "chain (3, 3, 3, 3) m=6 A_B,C_D vs A_BC,D: difference 0 != table 1"
+    ]
+    # (3,3,3,3) matches the first row, b >= max{a,c,d}, whose winner is B_AC,D
+    rows = list(extremal.CHAIN_WINNERS)
+    rows[0] = (rows[0][0], "A_B,C_D")
+    monkeypatch.setattr(extremal, "CHAIN_WINNERS", rows)
+    rep = verify_tables([(3, 3, 3, 3)], [6], "chain")
+    assert len(rep.mismatches) == 1 and "table winner A_B,C_D" in rep.mismatches[0]
 
 
 def test_emit_table_deterministic():
