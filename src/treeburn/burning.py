@@ -16,9 +16,14 @@ fixed by an exchange argument.
 Burnability is monotone in m, so what the general search proves about a
 tree is one bracket per isomorphism class: lo < b(tree) <= hi, with lo the
 largest k proved not burnable and hi the least k proved burnable.  A memo
-keyed by canonical form keeps a bounded number of these brackets; trees
-with at most one branch vertex bypass it, since the segment engine is cheap
-and the scan for their burning number starts at b.
+keyed by canonical form keeps a bounded number of these brackets and, once
+b is proved, one optimal witness per class in canonical ids.  A stored
+witness is exact for every tree of its class: the canonical labelling is an
+isomorphism, isomorphisms preserve distances, and every mapped witness is
+verified again on the caller's tree.  A class without one is searched on
+its canonical tree, so no witness depends on which isomorphic trees came
+first.  Trees with at most one branch vertex bypass the memo, since the
+segment engine is cheap and the scan for their burning number starts at b.
 """
 
 from __future__ import annotations
@@ -29,7 +34,14 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .tree import Tree, canonical_key, diameter, make_path, subdivide_edge
+from .tree import (
+    Tree,
+    canonical_form,
+    canonical_key,
+    diameter,
+    make_path,
+    subdivide_edge,
+)
 from . import topology as topo_mod
 
 
@@ -389,37 +401,49 @@ def _cover_general(tree: Tree, m: int) -> Optional[List[Tuple[int, int]]]:
     return rec(tuple(range(m - 1, -1, -1)), (1 << len(verts)) - 1)
 
 
-# Isomorphism classes whose brackets the memo keeps, well above the ~1,100
+# Isomorphism classes whose entries the memo keeps, well above the ~1,100
 # trees of one pass of order-39 chain(3,3,3,3) orbits.
 _MEMO_CLASSES = 4096
 
 
 class _BracketMemo:
-    """Bracket (lo, hi) on b per canonical key: lo the largest k proved not
-    burnable (0 when none), hi the least k proved burnable (None when none).
-    Holds at most `capacity` classes and forgets the oldest first."""
+    """Per canonical key, the bracket (lo, hi) on b and, once b is proved, an
+    optimal witness in canonical ids: lo the largest k proved not burnable
+    (0 when none), hi the least k proved burnable (None when none).  Holds
+    at most `capacity` classes and forgets the oldest first, witness and
+    all."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._brackets: "OrderedDict[str, List[Optional[int]]]" = OrderedDict()
+        self._entries: "OrderedDict[str, list]" = OrderedDict()
 
     def __len__(self) -> int:
-        return len(self._brackets)
+        return len(self._entries)
 
     def bracket(self, key: str) -> Tuple[int, Optional[int]]:
-        lo, hi = self._brackets.get(key, (0, None))
+        lo, hi, _ = self._entries.get(key, (0, None, None))
         return lo, hi
 
-    def record(self, key: str, k: int, burnable: bool) -> None:
-        entry = self._brackets.get(key)
+    def witness(self, key: str) -> Optional[Tuple[int, ...]]:
+        """The stored witness in canonical ids, or None."""
+        return self._entries.get(key, (0, None, None))[2]
+
+    def record(
+        self, key: str, k: int, burnable: bool, witness: Optional[Tuple[int, ...]] = None
+    ) -> None:
+        """Record that k is (not) burnable.  A witness, of length k, is
+        passed only once k - 1 is recorded as not burnable, so b = k."""
+        entry = self._entries.get(key)
         if entry is None:
-            if len(self._brackets) >= self.capacity:
-                self._brackets.popitem(last=False)
-            entry = self._brackets[key] = [0, None]
+            if len(self._entries) >= self.capacity:
+                self._entries.popitem(last=False)
+            entry = self._entries[key] = [0, None, None]
         if burnable:
             entry[1] = k if entry[1] is None else min(entry[1], k)
         else:
             entry[0] = max(entry[0], k)
+        if witness is not None:
+            entry[2] = witness
 
 
 _memo = _BracketMemo(_MEMO_CLASSES)
@@ -476,7 +500,8 @@ def is_m_burnable(tree: Tree, m: int, with_witness: bool = False):
 
     With ``with_witness=True`` returns ``(bool, schedule-or-None)`` where the
     witness has length b(tree) <= m: `burning_number`'s scan, stopped at m,
-    so one cover at b answers both.
+    so one cover at b answers both, or none when the memo holds the class's
+    witness.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -533,11 +558,16 @@ def burning_number(tree: Tree) -> Tuple[int, BurningSchedule]:
     the bound is m, and one vertex above it m + 1, so paths and tight
     spiders take one cover.
 
-    A tree with two or more branch vertices starts past the largest k its
-    class's memo bracket records as not burnable.  Every k below the start
-    or the first cover found is proved not burnable, so the bracket becomes
-    (b - 1, b).  Paths and spiders neither read nor write the memo, and their
-    canonical form is never computed.
+    A tree with two or more branch vertices whose class has a stored
+    witness gets it mapped through its canonical labelling and verified,
+    with no cover search.  Otherwise the scan runs on the class's canonical
+    tree, from past the largest k its bracket records as not burnable.
+    Every k below the start or the first cover found is proved not
+    burnable, so the bracket becomes (b - 1, b) and the witness is stored
+    in canonical ids.  Searching the canonical tree makes the witness a
+    function of the tree alone, whatever the memo held or evicted before.
+    Paths and spiders neither read nor write the memo, and their canonical
+    form is never computed.
     """
     return _scan(tree, None)
 
@@ -545,29 +575,49 @@ def burning_number(tree: Tree) -> Tuple[int, BurningSchedule]:
 def _scan(tree: Tree, stop: Optional[int]) -> Optional[Tuple[int, BurningSchedule]]:
     """`burning_number`'s scan, up to k = stop when stop is given: (b, a
     verified witness), or None when no k <= stop has a cover.  On trees with
-    two or more branch vertices it records what it proved in the memo."""
-    k = _scan_start(tree)
+    two or more branch vertices it reads and records the memo, and searches
+    the canonical tree only for a class the memo holds no witness for."""
     if len(tree.branch_vertices()) <= 1:
         # the path-forest DP keeps the arms' symmetry, which _cover_general's
         # bitmask states lose: 0.11 s against 21 s on 192 tight-spider decisions
-        key, cover_at = None, _cover_segments
-    else:
-        key, cover_at = canonical_key(tree), _cover_general
-        k = max(k, _memo.bracket(key)[0] + 1)
+        k, ids = _first_cover(tree, _scan_start(tree), stop, _cover_segments)
+        return None if ids is None else (k, _checked(tree, ids))
+    key, order, parent = canonical_form(tree)
+    ids = _memo.witness(key)
+    if ids is None:
+        canon = Tree((i, parent[i]) for i in range(1, len(parent)))
+        start = max(_scan_start(canon), _memo.bracket(key)[0] + 1)
+        k, ids = _first_cover(canon, start, stop, _cover_general)
+        # k - 1 is proved not burnable, by the start's bound or by a failed cover
+        _memo.record(key, k - 1, False)
+        if ids is None:
+            return None
+        _memo.record(key, k, True, ids)
+    elif stop is not None and stop < len(ids):
+        return None
+    return len(ids), _checked(tree, [order[i] for i in ids])
+
+
+def _first_cover(
+    tree: Tree, k: int, stop: Optional[int], cover_at
+) -> Tuple[int, Optional[Tuple[int, ...]]]:
+    """(k', sources) for the least k' >= k that `cover_at` covers, up to
+    stop, with the sources of a burning sequence of length k' built from the
+    cover; (stop + 1 or k, None) when no k' <= stop is covered."""
     cover = None
     while (stop is None or k <= stop) and (cover := cover_at(tree, k)) is None:
         k += 1
-    # k - 1 is proved not burnable, by the start's bound or by a failed cover
-    if key is not None:
-        _memo.record(key, k - 1, False)
-        if cover is not None:
-            _memo.record(key, k, True)
     if cover is None:
-        return None
-    witness = _witness_from_cover(tree, k, cover)
-    check = verify_schedule(tree, witness)
-    assert check.is_burning_sequence
-    return k, witness
+        return k, None
+    return k, _witness_from_cover(tree, k, cover).sources
+
+
+def _checked(tree: Tree, sources: Sequence[int]) -> BurningSchedule:
+    """The sources as a schedule, after `verify_schedule` accepts them."""
+    witness = BurningSchedule(sources=tuple(sources))
+    if not verify_schedule(tree, witness).is_burning_sequence:
+        raise AssertionError(f"internal error: {witness.sources} does not burn the tree")
+    return witness
 
 
 def enumerate_optimal_schedules(tree: Tree) -> Iterator[BurningSchedule]:
@@ -606,7 +656,8 @@ def is_maximally_m_burnable(tree: Tree, m: int) -> bool:
     b = m is decided as m-burnable and not (m-1)-burnable; after
     `burning_number` on a tree with two or more branch vertices, the memo
     bracket answers both without a search.  Subdivided trees are tried once
-    per isomorphism class, through a local set of canonical keys.
+    per isomorphism class, through a local set of canonical keys; each
+    subdivided tree keeps its canonical form, so the decision reuses it.
     """
     if m < 1 or not is_m_burnable(tree, m) or (m > 1 and is_m_burnable(tree, m - 1)):
         b, _ = burning_number(tree)

@@ -287,16 +287,14 @@ def _cmd_ext_tables(args) -> int:
     names = (
         extremal.CHAIN_SEQUENCES if args.shape == "chain" else extremal.TSHAPE_SEQUENCES
     )
+    report = extremal.verify_tables(degrees, m_grid, args.shape)
     sep = "\t" if args.format == "tsv" else " "
     print(sep.join(["degrees", "m", "winner"] + names))
-    for degs, case, winner in zip(degrees, cases, winners):
-        topo, _, seqs = extremal.case_sequences(case)
+    for degs, winner in zip(degrees, winners):
         for m in m_grid:
+            orders = report.orders[(degs, m)]
             row = [",".join(str(d) for d in degs), str(m), winner]
-            for name in names:
-                row.append(str(adm.induced_order(topo, seqs[name], m)))
-            print(sep.join(row))
-    report = extremal.verify_tables(degrees, m_grid, args.shape)
+            print(sep.join(row + [str(orders[name]) for name in names]))
     if not report.ok:
         for line in report.mismatches:
             print(f"mismatch: {line}")

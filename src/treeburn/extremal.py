@@ -52,7 +52,11 @@ class ExtremalResult:
 
 @dataclass(frozen=True)
 class TableReport:
+    """Mismatches against the tables, and the induced order of each listed
+    sequence per (degrees, m) checked."""
+
     mismatches: List[str]
+    orders: Dict[Tuple[Tuple[int, int, int, int], int], Dict[str, int]]
 
     @property
     def ok(self) -> bool:
@@ -399,8 +403,10 @@ def verify_tables(
     diff_formulas: Optional[Dict[Tuple[str, str], Formula]] = None,
 ) -> TableReport:
     """Check closed-form counts, pairwise differences, and winners against the
-    library's own computations over the given grids."""
+    library's own computations over the given grids; the report keeps the
+    induced orders it computed."""
     mismatches: List[str] = []
+    table: Dict[Tuple[Tuple[int, int, int, int], int], Dict[str, int]] = {}
     if shape == "chain":
         stage_formulas = stage_formulas or CHAIN_STAGE1
         diff_formulas = diff_formulas or CHAIN_DIFF
@@ -413,7 +419,7 @@ def verify_tables(
         a, b, c, d = case.degrees
         expected_name = four_branch_lookup(case)
         for m in m_grid:
-            orders = {}
+            orders = table[(case.degrees, m)] = {}
             for name, seq in seqs.items():
                 s1 = adm.stage1_additions(topo, seq, m).total
                 s2 = adm.stage2_additions(seq, m).total
@@ -439,4 +445,4 @@ def verify_tables(
                     f"{shape} {degrees} m={m}: winner order {best} "
                     f"!= table winner {expected_name} order {orders[expected_name]}"
                 )
-    return TableReport(mismatches=mismatches)
+    return TableReport(mismatches=mismatches, orders=table)

@@ -40,12 +40,13 @@ class Tree:
             raise TreeError(
                 f"disconnected: {len(vs)} vertices but {len(edge_set)} edges"
             )
+        sorted_edges = sorted(edge_set)
         adj: Dict[int, List[int]] = {v: [] for v in vs}
-        for u, v in edge_set:
+        # in sorted edge order every vertex meets its neighbours in increasing
+        # order: (u, v) with u < v comes before every (v, w)
+        for u, v in sorted_edges:
             adj[u].append(v)
             adj[v].append(u)
-        for v in adj:
-            adj[v].sort()
         # connectivity (together with |E| = |V| - 1 this rules out cycles)
         seen = {next(iter(vs))}
         stack = [next(iter(vs))]
@@ -57,10 +58,11 @@ class Tree:
         if len(seen) != len(vs):
             raise TreeError("disconnected")
         self.vertices: Tuple[int, ...] = tuple(sorted(vs))
-        self.edges: Tuple[Tuple[int, int], ...] = tuple(sorted(edge_set))
-        self._adj = adj
+        self.edges: Tuple[Tuple[int, int], ...] = tuple(sorted_edges)
+        self._adj: Dict[int, Tuple[int, ...]] = {v: tuple(ws) for v, ws in adj.items()}
         self._dist: Dict[int, Dict[int, int]] | None = None
         self._branch: Tuple[int, ...] | None = None
+        self._form: Tuple[str, Tuple[int, ...], Tuple[int, ...]] | None = None
 
     @property
     def order(self) -> int:
@@ -70,7 +72,8 @@ class Tree:
         return v in self._adj
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
-        return tuple(self._adj[v])
+        """The neighbours of v in increasing order."""
+        return self._adj[v]
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -265,36 +268,87 @@ def _centroid(tree: Tree) -> Tuple[int, ...]:
         v = heavy[0]
 
 
-def _rooted_encoding(tree: Tree, root: int, block: int | None = None) -> str:
-    """AHU string of the tree rooted at `root`, without `block`'s side.
+def _rooted_form(
+    tree: Tree, root: int, block: int | None = None
+) -> Tuple[str, List[int], List[int]]:
+    """AHU string of the tree rooted at `root`, without `block`'s side, with
+    its vertices in canonical order and each one's parent index there (-1
+    for the root).
 
     A vertex encodes as "(" + its children's encodings, sorted, + ")".  The
     strings are built without recursion in reverse BFS order, so every child
     comes before its parent, and each child's string is dropped once its
-    parent's is built.
+    parent's is built.  The canonical order is the BFS order that visits
+    each vertex's children in the order of their encodings.  Children with
+    equal encodings root isomorphic subtrees, so how their tie is broken
+    does not change the parent array: isomorphic rooted trees get the same
+    one.
     """
-    parent: Dict[int, int | None] = {root: None}
+    adj = tree._adj
+    kids = {root: [w for w in adj[root] if w != block]}
+    bfs = [root]
+    for v in bfs:
+        ks = kids[v]
+        bfs += ks
+        for w in ks:
+            k = kids[w] = list(adj[w])
+            k.remove(v)
+    enc: Dict[int, str] = {}
+    for v in reversed(bfs):
+        ks = kids[v]
+        # most vertices have at most one child; they skip the sort
+        if not ks:
+            enc[v] = "()"
+        elif len(ks) == 1:
+            enc[v] = "(" + enc.pop(ks[0]) + ")"
+        else:
+            ks.sort(key=enc.__getitem__)
+            enc[v] = "(" + "".join(map(enc.pop, ks)) + ")"
     order = [root]
-    for v in order:
-        for w in tree.neighbors(v):
-            if w != parent[v] and w != block:
-                parent[w] = v
-                order.append(w)
-    kids: Dict[int, List[str]] = {v: [] for v in order}
-    for v in reversed(order[1:]):
-        kids[parent[v]].append("(" + "".join(sorted(kids.pop(v))) + ")")
-    return "(" + "".join(sorted(kids[root])) + ")"
+    up = [-1]
+    for i, v in enumerate(order):
+        ks = kids[v]
+        order += ks
+        up += [i] * len(ks)
+    return enc[root], order, up
+
+
+def canonical_form(tree: Tree) -> Tuple[str, Tuple[int, ...], Tuple[int, ...]]:
+    """(key, order, parent): the tree's labelled canonical form, computed on
+    first use and kept on the tree.
+
+    The key is `canonical_key`.  Canonical vertex i is order[i], and
+    parent[i] is its parent's canonical index (-1 for i = 0), so the edges
+    (i, parent[i]) for i >= 1 build the canonical tree, and i -> order[i] is
+    an isomorphism from it onto this tree.  Isomorphic trees get the same
+    key and the same parent array.  The tree is rooted at its centroid; a
+    bicentroid tree is cut at the central edge into two halves, each rooted
+    at its centroid, the half with the smaller encoding first and its root
+    the parent of the other's.  Equal halves give the same array either way.
+    """
+    if tree._form is None:
+        cents = _centroid(tree)
+        if len(cents) == 1:
+            enc, order, up = _rooted_form(tree, cents[0])
+            tree._form = ("C" + enc, tuple(order), tuple(up))
+        else:
+            a, b = cents
+            (ea, oa, ua), (eb, ob, ub) = sorted(
+                [_rooted_form(tree, a, block=b), _rooted_form(tree, b, block=a)],
+                key=lambda half: half[0],
+            )
+            shift = len(oa)
+            tree._form = (
+                "B" + ea + eb,
+                tuple(oa + ob),
+                tuple(ua + [0] + [p + shift for p in ub[1:]]),
+            )
+    return tree._form
 
 
 def canonical_key(tree: Tree) -> str:
     """Canonical form rooted at the centroid; equal iff trees are isomorphic."""
-    cents = _centroid(tree)
-    if len(cents) == 1:
-        return "C" + _rooted_encoding(tree, cents[0])
-    a, b = cents
-    ea = _rooted_encoding(tree, a, block=b)
-    eb = _rooted_encoding(tree, b, block=a)
-    return "B" + "".join(sorted([ea, eb]))
+    return canonical_form(tree)[0]
 
 
 def isomorphic(t1: Tree, t2: Tree) -> bool:

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +30,7 @@ from treeburn.spider import extremal_order
 from treeburn.topology import LengthAssignment, expand, make_chain_topology
 from treeburn.tree import (
     Tree,
+    canonical_form,
     canonical_key,
     make_path,
     make_spider,
@@ -34,6 +39,8 @@ from treeburn.tree import (
 )
 
 from conftest import random_tree
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def brute_burning_number(tree):
@@ -450,6 +457,174 @@ def test_witness_option_covers_once(monkeypatch, fresh_memo):
     ok, w = is_m_burnable(t, 7, with_witness=True)
     assert ok and len(w.sources) == 6 and verify_schedule(t, w).is_burning_sequence
     assert fresh_memo.bracket(key) == (5, 6)
+
+
+def chain_trees(v):
+    """The order-39 chain(3,3,3,3) trees of length vector v's orbit."""
+    chain, _ = make_chain_topology(3, 3, 3, 3)
+    arms, internals = chain.arms(), chain.internal_edges()
+    return [
+        expand(chain, LengthAssignment(dict(zip(arms, w[:6])), dict(zip(internals, w[6:]))))
+        for w in chain_images(v)
+    ]
+
+
+def relabelled(tree, rng):
+    """The same tree on random, non-contiguous ids."""
+    ids = dict(zip(tree.vertices, rng.sample(range(10 * tree.order), tree.order)))
+    return Tree([(ids[a], ids[b]) for a, b in tree.edges])
+
+
+def branchy_trees(rng, count, lo, hi):
+    """`count` random trees of order lo..hi with two or more branch vertices."""
+    out = []
+    while len(out) < count:
+        t = random_tree(rng, rng.randint(lo, hi))
+        if len(t.branch_vertices()) >= 2:
+            out.append(t)
+    return out
+
+
+def test_orbit_repeats_run_no_cover_search(monkeypatch, fresh_memo):
+    covers, witnesses = [], []
+    cover, witness = burning._cover_general, burning._witness_from_cover
+    monkeypatch.setattr(
+        burning, "_cover_general", lambda t, m: covers.append(m) or cover(t, m)
+    )
+    monkeypatch.setattr(
+        burning,
+        "_witness_from_cover",
+        lambda t, k, c: witnesses.append(k) or witness(t, k, c),
+    )
+    runs = []
+    for t in chain_trees((4, 5, 6, 7, 4, 5, 3, 2, 2)):
+        del covers[:], witnesses[:]
+        b, sched = burning_number(t)
+        assert b == 6 and verify_schedule(t, sched).is_burning_sequence
+        runs.append((list(covers), list(witnesses)))
+    # the first image proves 5 infeasible and covers at 6 once; the other
+    # seven map the class's stored witness
+    assert runs == [([5, 6], [6])] + [([], [])] * 7
+
+
+def test_witness_depends_only_on_the_tree(monkeypatch, rng):
+    trees = branchy_trees(rng, 40, 8, 30)
+    for t, other in zip(trees, trees[1:]):
+        if canonical_key(other) == canonical_key(t):
+            continue
+        monkeypatch.setattr(burning, "_memo", burning._BracketMemo(1))
+        fresh = burning_number(t)[1].sources
+        monkeypatch.setattr(burning, "_memo", burning._BracketMemo(1))
+        burning_number(relabelled(t, rng))  # the class's witness comes from a copy
+        after_copy = burning_number(t)[1].sources
+        burning_number(other)  # evicts t's class
+        assert burning._memo.witness(canonical_key(t)) is None
+        after_eviction = burning_number(t)[1].sources
+        assert fresh == after_copy == after_eviction, t.edges
+
+
+def test_stored_witness_answers_at_and_below_b(monkeypatch, fresh_memo):
+    t = chain_trees((4, 5, 6, 7, 4, 5, 3, 2, 2))[0]
+    b, sched = burning_number(t)
+    assert fresh_memo.witness(canonical_key(t)) is not None
+    monkeypatch.setattr(burning, "_cover_general", None)  # no search may run
+    assert is_m_burnable(t, b - 1, with_witness=True) == (False, None)
+    assert is_m_burnable(t, b, with_witness=True) == (True, sched)
+    assert is_m_burnable(t, b + 3, with_witness=True) == (True, sched)
+
+
+def corrupt_stored_witness(tree):
+    """Solve `tree`, then replace its class's stored witness by canonical ids
+    that do not burn it."""
+    b, _ = burning_number(tree)
+    key, order, _ = canonical_form(tree)
+    bad = tuple(range(b))
+    assert not verify_schedule(
+        tree, BurningSchedule(tuple(order[i] for i in bad))
+    ).is_burning_sequence
+    burning._memo.record(key, b, True, bad)
+
+
+def test_corrupted_stored_witness_raises(fresh_memo):
+    t = chain_trees((4, 5, 6, 7, 4, 5, 3, 2, 2))[0]
+    corrupt_stored_witness(t)
+    with pytest.raises(AssertionError, match="internal error"):
+        burning_number(t)
+    with pytest.raises(AssertionError, match="internal error"):
+        is_m_burnable(t, 7, with_witness=True)
+
+
+def test_corrupted_stored_witness_raises_under_O():
+    script = """
+import sys
+if __debug__:
+    sys.exit("not run under -O")
+sys.path.insert(0, "tests")
+from test_burning import chain_trees, corrupt_stored_witness
+from treeburn.burning import burning_number
+t = chain_trees((4, 5, 6, 7, 4, 5, 3, 2, 2))[0]
+corrupt_stored_witness(t)
+try:
+    burning_number(t)
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: internal error"), proc.stdout
+
+
+def test_memo_bound_holds_with_witnesses(monkeypatch, rng):
+    memo = burning._BracketMemo(6)
+    monkeypatch.setattr(burning, "_memo", memo)
+    trees, keys = [], []
+    for t in branchy_trees(rng, 40, 6, 12):
+        if canonical_key(t) not in keys:
+            keys.append(canonical_key(t))
+            trees.append(t)
+    for t in trees:
+        b, sched = burning_number(t)
+        assert len(memo) <= 6
+        assert len(memo.witness(canonical_key(t))) == b
+    stored = [k for k in keys if memo.witness(k) is not None]
+    assert len(trees) > 6 and stored == keys[-6:]
+    assert memo.bracket(keys[0]) == (0, None)
+
+
+def test_maximality_check_computes_each_form_once(monkeypatch, fresh_memo):
+    import treeburn.tree as tree_mod
+
+    from treeburn.extremal import find_extremal
+
+    chain, _ = make_chain_topology(3, 3, 3, 3)
+    t = find_extremal(chain, 5).tree
+    assert burning_number(t)[0] == 5
+    forms, built = [], []
+    centroid, subdivide = tree_mod._centroid, burning.subdivide_edge
+    monkeypatch.setattr(tree_mod, "_centroid", lambda u: forms.append(u) or centroid(u))
+    monkeypatch.setattr(
+        burning, "subdivide_edge", lambda u, a, b: built.append(1) or subdivide(u, a, b)
+    )
+    assert is_maximally_m_burnable(t, 5)
+    # t's form is kept from burning_number; each subdivided tree needs one
+    assert len(built) == 9 and len(forms) == len(built)
+
+
+def test_b_matches_brute_force_under_relabelling(fresh_memo):
+    rng = random.Random(20261020)
+    for t in branchy_trees(rng, 300, 6, 10):
+        want = brute_burning_number(t)
+        for u in (t, relabelled(t, rng)):
+            b, sched = burning_number(u)
+            assert b == want, u.edges
+            assert verify_schedule(u, sched).is_burning_sequence
 
 
 def brute_groups_feasible(path_orders, radii):

@@ -343,7 +343,7 @@ def _order39_assignments():
 def test_chain_3333_m5_no_larger_order_sampled():
     # the found extremal tree has order 38; a seeded sample of order-39
     # homeomorphic trees confirms none of them is 5-burnable.  Set
-    # TREEBURN_EXHAUSTIVE=1 to sweep all assignments (about 11 CPU-hours).
+    # TREEBURN_EXHAUSTIVE=1 to sweep all assignments (about 15 CPU-hours).
     import os
     import random
 

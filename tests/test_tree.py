@@ -5,6 +5,7 @@ from treeburn.tree import (
     Tree,
     TreeError,
     _centroid,
+    canonical_form,
     canonical_key,
     diameter,
     isomorphic,
@@ -203,3 +204,88 @@ def test_centroid_matches_brute_force():
         assert _centroid(t) == want, t.edges
         sizes.add(len(want))
     assert sizes == {1, 2}
+
+
+def reference_key(tree):
+    """Independent oracle for `canonical_key`: the AHU string at the centroid
+    built from strings alone, with no vertex order kept."""
+
+    def rooted(root, block):
+        parent = {root: None}
+        order = [root]
+        for v in order:
+            for w in tree.neighbors(v):
+                if w != parent[v] and w != block:
+                    parent[w] = v
+                    order.append(w)
+        kids = {v: [] for v in order}
+        for v in reversed(order[1:]):
+            kids[parent[v]].append("(" + "".join(sorted(kids.pop(v))) + ")")
+        return "(" + "".join(sorted(kids[root])) + ")"
+
+    cents = brute_centroid(tree)
+    if len(cents) == 1:
+        return "C" + rooted(cents[0], None)
+    a, b = cents
+    return "B" + "".join(sorted([rooted(a, b), rooted(b, a)]))
+
+
+def test_canonical_form_is_a_labelling_shared_by_isomorphic_trees():
+    rng = random.Random(20261019)
+    trees = [random_tree(rng, rng.randint(1, 40)) for _ in range(600)]
+    for _ in range(200):  # two copies of one tree joined by an edge: equal halves
+        half = random_tree(rng, rng.randint(1, 20))
+        shift = half.order
+        edges = list(half.edges) + [(a + shift, b + shift) for a, b in half.edges]
+        v = rng.choice(half.vertices)
+        trees.append(Tree(edges + [(v, v + shift)], vertices=[0, shift]))
+    checked = equal_halves = 0
+    for t in trees:
+        key, _, parent = canonical_form(t)
+        assert key == canonical_key(t) == reference_key(t), t.edges
+        canon = Tree(
+            [(i, parent[i]) for i in range(1, len(parent))], vertices=[0]
+        )
+        assert canonical_form(canon)[::2] == (key, parent)
+        for u in (t, relabel(t, rng), relabel(t, rng)):
+            got, order, up = canonical_form(u)
+            assert (got, up) == (key, parent), (t.edges, u.edges)
+            # i -> order[i] is an isomorphism from the canonical tree onto u
+            assert sorted(order) == list(u.vertices)
+            image = {tuple(sorted((order[i], order[p]))) for i, p in enumerate(up) if i}
+            assert image == set(u.edges)
+            checked += 1
+        equal_halves += key.startswith("B") and len(set(_halves(key))) == 1
+    assert checked >= 2000 and equal_halves >= 100
+
+
+def _halves(key):
+    """The two half encodings of a bicentroid key."""
+    depth = 0
+    for i, ch in enumerate(key[1:], start=1):
+        depth += 1 if ch == "(" else -1
+        if depth == 0:
+            return key[1 : i + 1], key[i + 1 :]
+
+
+def test_form_is_computed_once_per_tree(monkeypatch):
+    import treeburn.tree as tree_mod
+
+    calls = []
+    centroid = tree_mod._centroid
+    monkeypatch.setattr(tree_mod, "_centroid", lambda t: calls.append(1) or centroid(t))
+    t = make_spider([2, 3, 4])
+    assert canonical_key(t) == canonical_form(t)[0] == canonical_key(t)
+    assert len(calls) == 1
+
+
+def test_neighbors_are_kept_sorted_tuples():
+    t = Tree([(5, 1), (5, 9), (5, 3), (3, 7)])
+    assert t.neighbors(5) == (1, 3, 9)
+    assert t.neighbors(5) is t.neighbors(5)
+    rng = random.Random(7)
+    for _ in range(50):
+        u = relabel(random_tree(rng, rng.randint(1, 30)), rng)
+        for v in u.vertices:
+            want = sorted(w for e in u.edges for w in e if v in e and w != v)
+            assert u.neighbors(v) == tuple(want)
