@@ -148,17 +148,16 @@ class Stage2Additions:
 
 
 def stage1_additions(
-    topology: Topology, seq: AdmissibleSequence, m: int
+    topology: Topology,
+    seq: AdmissibleSequence,
+    m: int,
+    sig: Optional[Dict[int, int]] = None,
 ) -> Stage1Additions:
     """Arm extensions m - sig(v) - 1 and cross-block internal extensions
-    2m - sig(v) - sig(v')."""
-    return _stage1(topology, seq, signature(topology, seq), m)
-
-
-def _stage1(
-    topology: Topology, seq: AdmissibleSequence, sig: Dict[int, int], m: int
-) -> Stage1Additions:
-    """`stage1_additions` for a valid sequence whose signature is `sig`."""
+    2m - sig(v) - sig(v').  A caller holding the signature passes it as
+    `sig`, and the sequence is then taken as valid."""
+    if sig is None:
+        sig = signature(topology, seq)
     if m <= max(sig.values()):
         raise ValueError(f"m must exceed the maximum signature {max(sig.values())}")
     where = _block_index(seq)
@@ -225,7 +224,7 @@ def induced_plan(
     topology, seq, m = spec.topology, spec.sequence, spec.m
     if sig is None:
         sig = signature(topology, seq)
-    s1 = _stage1(topology, seq, sig, m)
+    s1 = stage1_additions(topology, seq, m, sig)
     s2 = stage2_additions(seq, m)
     fresh = count(max(topology.tree.vertices) + 1)
 

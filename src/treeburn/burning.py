@@ -113,12 +113,32 @@ def _distances(tree: Tree, starts: Sequence[int], radius: int) -> Dict[int, int]
     return dist
 
 
+def _balls(tree: Tree, sources: Sequence[int]) -> Iterator[Tuple[Dict[int, int], bool]]:
+    """Per source x_i: N_{m-i}[x_i] with its distances, from one BFS stopped
+    at radius m-i, and whether d(x_i, x_j) >= j-i for every later x_j.  A
+    violation d(x_i, x_j) < j-i <= m-i puts x_j inside x_i's ball, so the
+    ball decides it; a repeated source violates it at distance 0."""
+    m = len(sources)
+    for i, x in enumerate(sources):
+        dist = _distances(tree, [x], m - 1 - i)
+        yield dist, all(dist.get(sources[j], m) >= j - i for j in range(i + 1, m))
+
+
+def _burns(tree: Tree, sources: Sequence[int]) -> bool:
+    """True iff the sources, vertices of the tree, burn it: their balls cover
+    it and keep the distance condition.  Stops at the first violation."""
+    covered = set()
+    for dist, keeps in _balls(tree, sources):
+        if not keeps:
+            return False
+        covered.update(dist)
+    return len(covered) == tree.order
+
+
 def verify_schedule(tree: Tree, schedule: BurningSchedule) -> NeighborhoodCover:
     """Compute the associated neighbourhoods and all flags exactly.
 
-    One BFS per source x_i, stopped at radius m-i, gives N_{m-i}[x_i] with
-    its distances, and every flag reads only those.  A violated distance
-    condition d(x_i, x_j) < j-i <= m-i puts x_j inside x_i's ball.  A leaf
+    Every flag reads the balls and distance verdicts of `_balls`.  A leaf
     burns in round min_i(i + d(x_i, leaf)); a term with the leaf outside
     x_i's ball exceeds m, so once every vertex is covered the minimum is
     taken over the balls that hold the leaf.
@@ -133,18 +153,10 @@ def verify_schedule(tree: Tree, schedule: BurningSchedule) -> NeighborhoodCover:
         if x in seen:
             raise ValueError(f"duplicate source {x}")
         seen.add(x)
-    dists = [
-        _distances(tree, [x], m - i) for i, x in enumerate(schedule.sources, start=1)
-    ]
+    dists, keeps = zip(*_balls(tree, schedule.sources))
     hoods = tuple(frozenset(d) for d in dists)
     union = frozenset().union(*hoods)
     covers_all = len(union) == tree.order
-    # a source outside x_i's ball is at distance > m-i-1 >= j-i
-    distance_ok = all(
-        dists[i].get(schedule.sources[j], m) >= j - i
-        for i in range(m)
-        for j in range(i + 1, m)
-    )
     disjoint = sum(len(h) for h in hoods) == len(union)
     # a leaf burns in the last round iff its earliest fire arrives at round m
     leaves_last = covers_all and all(
@@ -166,7 +178,7 @@ def verify_schedule(tree: Tree, schedule: BurningSchedule) -> NeighborhoodCover:
     return NeighborhoodCover(
         neighborhoods=hoods,
         covers_all=covers_all,
-        distance_ok=distance_ok,
+        distance_ok=all(keeps),
         pairwise_disjoint=disjoint,
         leaves_last=leaves_last,
         branch_prefix_length=prefix,
@@ -290,8 +302,23 @@ def _cover_suffixes(
     ]
 
 
-def _cover_segments(tree: Tree, m: int) -> Optional[List[Tuple[int, int]]]:
-    """Exact cover of a path or a spider by balls of radii m-1..0.
+_Legs = Tuple[Optional[int], List[List[int]]]
+
+
+def _legs(tree: Tree) -> _Legs:
+    """(head, legs) of a path or spider, each leg's vertices from the head
+    out; a path has head None and one leg, its vertices end to end."""
+    if tree.is_path():
+        end = tree.leaves()[0]
+        line = topo_mod._walk(tree, end, tree.neighbors(end)[0]) if tree.order > 1 else [end]
+        return None, [line]
+    head = tree.branch_vertices()[0]
+    return head, [topo_mod._walk(tree, head, w)[1:] for w in tree.neighbors(head)]
+
+
+def _cover_segments(legs: _Legs, m: int) -> Optional[List[Tuple[int, int]]]:
+    """Exact cover of a path or spider, given by its `_legs`, by balls of
+    radii m-1..0.
 
     Both rest on the path-forest lemma: a ball meets a path in an interval of
     at most 2r+1 vertices, and intervals of sizes s_i cover a path of order L
@@ -315,27 +342,30 @@ def _cover_segments(tree: Tree, m: int) -> Optional[List[Tuple[int, int]]]:
     (radius, arm, depth) and solves that path forest exactly; head balls
     that leave the same multiset of (arm length, reach) pairs leave the same
     forest and are tried once.
+
+    In each radius the head-centred ball goes first.  An l-leg spider of
+    the extremal order l(m-1) + 1 + (m-1)^2 meets the bound in
+    `burning_number`'s docstring with equality at k = m, which forces
+    rho = m-1 and delta = 0: its covering head ball is the head-centred ball
+    of radius m-1, so one forest DP decides it instead of one failing DP
+    per arm-centred ball tried before it.
     """
+    head, arms = legs
     radii = list(range(m - 1, -1, -1))
-    if tree.is_path():
-        end = min(v for v in tree.vertices if tree.degree(v) <= 1)
-        d = tree.distances_from(end)
-        line = sorted(tree.vertices, key=d.__getitem__)
-        return _cover_suffixes([line], [0], radii)
-    dec = topo_mod.decompose(tree)
-    head = dec.arms[0][0]
-    arms = [path[1:] for _, path in dec.arms]
+    if head is None:
+        return _cover_suffixes(arms, [0], radii)
     lengths = [len(a) for a in arms]
 
     def head_balls(rho: int):
-        """(centre, depth reached on each arm) of every radius-rho head ball."""
+        """(centre, depth reached on each arm) of every radius-rho head
+        ball, the head-centred one first."""
+        yield head, [min(l, rho) for l in lengths]
         for j, arm in enumerate(arms):
             for delta in range(1, min(rho, len(arm)) + 1):
                 yield arm[delta - 1], [
                     min(l, delta + rho if k == j else rho - delta)
                     for k, l in enumerate(lengths)
                 ]
-        yield head, [min(l, rho) for l in lengths]
 
     seen = set()
     for rho in radii:
@@ -510,7 +540,9 @@ def is_m_burnable(tree: Tree, m: int, with_witness: bool = False):
         return (False, None) if found is None else (True, found[1])
     # radii only grow with m, so deciding coverage at m itself suffices
     if len(tree.branch_vertices()) <= 1:
-        ok = _cover_segments(tree, m) is not None
+        legs = _legs(tree)
+        # no k below the scan start is burnable (burning_number's docstring)
+        ok = m >= _scan_start(tree, legs) and _cover_segments(legs, m) is not None
     else:
         key = canonical_key(tree)
         lo, hi = _memo.bracket(key)
@@ -524,14 +556,20 @@ def is_m_burnable(tree: Tree, m: int, with_witness: bool = False):
     return ok
 
 
-def _scan_start(tree: Tree) -> int:
+def _scan_start(tree: Tree, legs: Optional[_Legs] = None) -> int:
     """The lower bound on b(tree) where `burning_number` starts its scan;
-    the proof is in that function's docstring."""
-    k = math.isqrt(diameter(tree)) + 1
-    if len(tree.branch_vertices()) <= 1:
-        extra = len(tree.leaves()) - 2
-        while k * k + extra * (k - 1) < tree.order:
-            k += 1
+    the proof is in that function's docstring.  A path or spider reads it
+    off its `legs`, with no BFS: a path of order n has diameter n - 1, and
+    a spider has one leaf per leg and its two longest legs as diameter."""
+    if len(tree.branch_vertices()) > 1:
+        return math.isqrt(diameter(tree)) + 1
+    head, arms = legs or _legs(tree)
+    if head is None:
+        return math.isqrt(len(arms[0]) - 1) + 1
+    lengths = sorted(map(len, arms))
+    k = math.isqrt(lengths[-1] + lengths[-2]) + 1
+    while k * k + (len(lengths) - 2) * (k - 1) < tree.order:
+        k += 1
     return k
 
 
@@ -580,7 +618,9 @@ def _scan(tree: Tree, stop: Optional[int]) -> Optional[Tuple[int, BurningSchedul
     if len(tree.branch_vertices()) <= 1:
         # the path-forest DP keeps the arms' symmetry, which _cover_general's
         # bitmask states lose: 0.11 s against 21 s on 192 tight-spider decisions
-        k, ids = _first_cover(tree, _scan_start(tree), stop, _cover_segments)
+        legs = _legs(tree)
+        start = _scan_start(tree, legs)
+        k, ids = _first_cover(tree, start, stop, lambda _, k: _cover_segments(legs, k))
         return None if ids is None else (k, _checked(tree, ids))
     key, order, parent = canonical_form(tree)
     ids = _memo.witness(key)
@@ -613,9 +653,9 @@ def _first_cover(
 
 
 def _checked(tree: Tree, sources: Sequence[int]) -> BurningSchedule:
-    """The sources as a schedule, after `verify_schedule` accepts them."""
+    """The sources as a schedule, after `_burns` accepts them."""
     witness = BurningSchedule(sources=tuple(sources))
-    if not verify_schedule(tree, witness).is_burning_sequence:
+    if not _burns(tree, witness.sources):
         raise AssertionError(f"internal error: {witness.sources} does not burn the tree")
     return witness
 

@@ -17,7 +17,6 @@ from typing import Tuple
 from .tree import Tree, make_spider
 from .burning import BurningSchedule, is_m_burnable, _cover_suffixes, _partitions
 from . import burning
-from . import topology as topo_mod
 
 
 @dataclass(frozen=True)
@@ -65,16 +64,13 @@ def witness_schedule(profile: SpiderProfile, m: int) -> BurningSchedule:
     balls tile the tree, so no centre is burned before its own round.
     """
     tree = profile.tree()
-    dec = topo_mod.decompose(tree)
-    head = dec.arms[0][0]
-    arms = [path[1:] for _, path in dec.arms]
+    head, arms = burning._legs(tree)
     cover = _cover_suffixes(arms, [m - 1] * len(arms), range(m - 2, -1, -1))
     if cover is None or len(cover) != m - 1:
         raise ValueError(f"no head-first schedule of length {m} for {profile}")
     rounds = sorted(cover, reverse=True)  # radius m-i burns in round i
     sched = BurningSchedule(sources=(head,) + tuple(c for _, c in rounds))
-    flags = burning.verify_schedule(tree, sched)
-    if not flags.is_burning_sequence:
+    if not burning._burns(tree, sched.sources):
         raise AssertionError(f"internal error: invalid schedule for {profile}")
     return sched
 

@@ -15,6 +15,7 @@ from treeburn.burning import (
     _cover_general,
     _cover_segments,
     _forest_groups,
+    _legs,
     _scan_start,
     _witness_from_cover,
     PathForest,
@@ -32,6 +33,7 @@ from treeburn.tree import (
     Tree,
     canonical_form,
     canonical_key,
+    diameter,
     make_path,
     make_spider,
     make_star,
@@ -230,8 +232,10 @@ def test_witness_matches_reference_simulation(rng):
     for _ in range(400):
         t = random_tree(rng, rng.randint(1, 25))
         k = burning_number(t)[0] + (rng.random() < 0.2)
-        engine = _cover_segments if len(t.branch_vertices()) <= 1 else _cover_general
-        cover = engine(t, k)
+        if len(t.branch_vertices()) <= 1:
+            cover = _cover_segments(_legs(t), k)
+        else:
+            cover = _cover_general(t, k)
         for _ in range(rng.randint(0, 3)):
             if not cover:
                 break
@@ -433,9 +437,9 @@ def test_witness_option_covers_once(monkeypatch, fresh_memo):
     calls = []
     engine = burning._cover_segments
 
-    def counted(tree, m):
+    def counted(legs, m):
         calls.append(m)
-        return engine(tree, m)
+        return engine(legs, m)
 
     monkeypatch.setattr(burning, "_cover_segments", counted)
     for t, m, b in ((make_spider([4, 6, 8]), 6, 4), (make_path(1000), 40, 32)):
@@ -695,6 +699,145 @@ def test_tight_spider_theorem(rng):
             b, sched = burning_number(t)
             assert b == m + 1, legs
             assert verify_schedule(t, sched).is_burning_sequence
+
+
+def extremal_legs(rng, n, m):
+    """Legs of a random extremal n-leg spider for m: every leg starts at m-1
+    and the segments 2(m-i)+1, i = 2..m, are dealt to random legs."""
+    legs = [m - 1] * n
+    for i in range(2, m + 1):
+        legs[rng.randrange(n)] += 2 * (m - i) + 1
+    return legs
+
+
+@pytest.fixture
+def forest_dp_calls(monkeypatch):
+    """A list that gets one entry per `_forest_groups` call."""
+    calls = []
+    engine = burning._forest_groups
+
+    def counted(path_orders, radii):
+        calls.append(tuple(path_orders))
+        return engine(path_orders, radii)
+
+    monkeypatch.setattr(burning, "_forest_groups", counted)
+    return calls
+
+
+def test_extremal_spider_takes_one_forest_dp(rng, forest_dp_calls):
+    for n in range(3, 7):
+        for m in range(3, 11):
+            legs = extremal_legs(rng, n, m)
+            t = make_spider(legs)  # head 0
+            # the head-centred ball of radius m-1 goes first and covers
+            del forest_dp_calls[:]
+            assert _cover_segments(_legs(t), m)[0] == (m - 1, 0), legs
+            assert len(forest_dp_calls) == 1, legs
+            # the scan starts at b = m, so burning_number runs that DP alone
+            del forest_dp_calls[:]
+            assert burning_number(t)[0] == m and len(forest_dp_calls) == 1, legs
+            # n-2 vertices short of extremal the head-centred ball still covers
+            legs[legs.index(max(legs))] -= n - 2
+            del forest_dp_calls[:]
+            assert _cover_segments(_legs(make_spider(legs)), m)[0] == (m - 1, 0), legs
+            assert len(forest_dp_calls) == 1, legs
+
+
+def test_extremal_plus_one_spider_proof_runs_no_forest_dp(rng, forest_dp_calls):
+    for n in range(3, 7):
+        for m in range(3, 11):
+            legs = extremal_legs(rng, n, m)
+            legs[rng.randrange(n)] += 1
+            t = make_spider(legs)
+            # b - 1 = m lies below the scan start, so no cover is tried
+            del forest_dp_calls[:]
+            assert not is_m_burnable(t, m) and forest_dp_calls == [], legs
+            # at b = m+1 the head-centred ball of radius m covers with one DP
+            assert _cover_segments(_legs(t), m + 1)[0] == (m, 0), legs
+            assert len(forest_dp_calls) == 1, legs
+            del forest_dp_calls[:]
+            assert burning_number(t)[0] == m + 1 and len(forest_dp_calls) == 1, legs
+
+
+def test_is_m_burnable_skips_the_cover_below_the_start(monkeypatch, rng):
+    calls = []
+    engine = burning._cover_segments
+
+    def counted(legs, m):
+        calls.append(m)
+        return engine(legs, m)
+
+    monkeypatch.setattr(burning, "_cover_segments", counted)
+    trees = [make_path(n) for n in (1, 2, 10, 50, 1000)]
+    for n in range(3, 7):
+        for m in range(3, 8):
+            legs = extremal_legs(rng, n, m)
+            trees.append(make_spider(legs))
+            legs[rng.randrange(n)] += 1
+            trees.append(make_spider(legs))
+    trees += [make_spider([rng.randint(1, 9) for _ in range(rng.randint(3, 6))]) for _ in range(20)]
+    for t in trees:
+        start, (b, _) = _scan_start(t), burning_number(t)
+        for k in range(1, start):
+            del calls[:]
+            assert not is_m_burnable(t, k) and calls == [], (t.edges, k)
+        del calls[:]
+        assert is_m_burnable(t, start) == (b == start) and calls == [start], t.edges
+
+
+def reference_scan_start(tree):
+    """The scan start of a path or spider from the whole tree: two BFS for
+    the diameter and a scan for the leaves."""
+    k = math.isqrt(diameter(tree)) + 1
+    extra = len(tree.leaves()) - 2
+    while k * k + extra * (k - 1) < tree.order:
+        k += 1
+    return k
+
+
+def test_scan_start_from_legs_matches_diameter_formula(rng):
+    for i in range(400):
+        if rng.random() < 0.3:
+            t = make_path(rng.randint(1, 400))
+        else:
+            top = rng.choice((3, 10, 60))
+            t = make_spider([rng.randint(1, top) for _ in range(rng.randint(3, 8))])
+        if t.order > 1 and i % 2:
+            t = relabelled(t, rng)
+        assert _scan_start(t) == reference_scan_start(t), t.edges
+    for _ in range(40):
+        if rng.random() < 0.3:
+            t = make_path(rng.randint(1, 8))
+        else:
+            t = make_spider([rng.randint(1, 2) for _ in range(rng.randint(3, 4))])
+        assert _scan_start(t) <= brute_burning_number(t), t.edges
+
+
+def test_lean_check_agrees_with_verify_schedule(rng):
+    seen = set()
+    for _ in range(400):
+        t = random_tree(rng, rng.randint(1, 25))
+        sources = list(burning_number(t)[1].sources)
+        kind = rng.choice(["valid", "swap", "move", "duplicate"])
+        i, j = sorted(rng.sample(range(len(sources)), 2)) if len(sources) > 1 else (0, 0)
+        if kind == "swap":
+            sources[i], sources[j] = sources[j], sources[i]
+        elif kind == "move":
+            sources[i] = rng.choice(t.vertices)
+        elif kind == "duplicate":
+            sources[j] = sources[i]
+        got = burning._burns(t, sources)
+        if len(set(sources)) < len(sources):
+            with pytest.raises(ValueError, match="duplicate"):
+                verify_schedule(t, BurningSchedule(tuple(sources)))
+            flags = oracle_flags(t, sources)
+            want = flags["covers_all"] and flags["distance_ok"]
+        else:
+            want = verify_schedule(t, BurningSchedule(tuple(sources))).is_burning_sequence
+        assert got == want, (t.edges, sources)
+        seen.add((kind, want))
+    assert {(k, w) for k in ("swap", "move") for w in (True, False)} <= seen, seen
+    assert ("valid", True) in seen and ("duplicate", False) in seen, seen
 
 
 def test_path_forest_rejects_bad_orders():
