@@ -484,14 +484,14 @@ def _witness_from_cover(
 ) -> BurningSchedule:
     """Turn a covering into a valid burning sequence by simulating the rounds.
 
-    If the designated center is already burned when its round arrives, any
-    vertex that keeps the distance condition may be lit instead: an unburned
-    one when there is one, and of those the farthest from the sources placed
-    so far (ties to the smaller id), which keeps coverage ample.  The burned
-    set grows by its frontier.  The condition d(s_j, v) >= t - j for every
+    If the designated center is already burned when its round arrives, or
+    the cover leaves that radius unused, any vertex that keeps the distance
+    condition may be lit instead: the least unburned one when there is one.
+    Coverage never depends on that choice: a center burned at round s <= t
+    still burns its whole radius-(k-1-t) ball by round k.  The burned set
+    grows by its frontier.  The condition d(s_j, v) >= t - j for every
     earlier round j forbids at round t exactly the vertices burned before
-    that round's spread, so a re-site needs one BFS, from all the sources at
-    once, for the distances it ranks by.
+    that round's spread.
     """
     center_for = {k - 1 - r: c for r, c in cover}  # round index (0-based) -> center
     burned: set = set()
@@ -513,11 +513,7 @@ def _witness_from_cover(
             pool = [v for v in tree.vertices if v not in burned] or fresh
             if not pool:
                 raise AssertionError("no admissible source; cover was invalid")
-            if sources:
-                near = _distances(tree, sources, tree.order)
-                c = max(pool, key=lambda v: (near[v], -v))
-            else:
-                c = min(pool)
+            c = min(pool)
         if c not in burned:
             burned.add(c)
             fresh.append(c)

@@ -5,12 +5,14 @@
 vertices, the chain case A-B-C-D admits six canonical sequences that can
 win; the T-shape (B adjacent to A, C, D; arms sorted a >= c >= d) admits
 three.  The closed-form tables for their added-vertex counts, pairwise
-differences, and winning conditions are reproduced here and re-checked
-numerically.
+differences, and winning conditions are written here once, as the text
+`emit_table` prints, and re-checked numerically by formulas parsed from that
+text.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -134,158 +136,10 @@ def order_difference(
 
 
 # ---------------------------------------------------------------------------
-# Closed forms for the four-branch-vertex case study.
+# The four-branch tables as printed.  Tables 1 and 4: vertices each sequence
+# adds (chain: Stage 1; T-shape: both stages).  Tables 2 and 5: row minus
+# column.  Tables 3 and 6: the first matching row names the winner.
 
-Formula = Callable[[int, int, int, int, int], int]
-
-# chain A-B-C-D: vertices added in Stage 1
-CHAIN_STAGE1: Dict[str, Formula] = {
-    "A_B,C_D": lambda a, b, c, d, m: (a - 1) * (m - 2)
-    + (b - 2 + c - 2) * (m - 3)
-    + (d - 1) * (m - 4)
-    + 2 * m
-    - 4,
-    "A_BC,D": lambda a, b, c, d, m: (a - 1) * (m - 2)
-    + (b - 2 + d - 1) * (m - 3)
-    + (c - 2) * (m - 4)
-    + 2 * m
-    - 5,
-    "B_AC,D": lambda a, b, c, d, m: (b - 2) * (m - 2)
-    + (a - 1 + c - 2 + d - 1) * (m - 3)
-    + 2 * m
-    - 4,
-    "C_BD,A": lambda a, b, c, d, m: (c - 2) * (m - 2)
-    + (a - 1 + b - 2 + d - 1) * (m - 3)
-    + 2 * m
-    - 4,
-    "D_C,B_A": lambda a, b, c, d, m: (d - 1) * (m - 2)
-    + (b - 2 + c - 2) * (m - 3)
-    + (a - 1) * (m - 4)
-    + 2 * m
-    - 4,
-    "D_CB,A": lambda a, b, c, d, m: (d - 1) * (m - 2)
-    + (a - 1 + c - 2) * (m - 3)
-    + (b - 2) * (m - 4)
-    + 2 * m
-    - 5,
-}
-
-CHAIN_SEQUENCES = list(CHAIN_STAGE1)
-
-# chain: difference of Stage-1 counts, row minus column
-CHAIN_DIFF: Dict[Tuple[str, str], Formula] = {}
-
-
-def _fill_chain_diff():
-    rows = {
-        "A_B,C_D": {
-            "A_BC,D": lambda a, b, c, d: c - d,
-            "B_AC,D": lambda a, b, c, d: a - b - d + 2,
-            "C_BD,A": lambda a, b, c, d: a - c - d + 2,
-            "D_C,B_A": lambda a, b, c, d: 2 * a - 2 * d,
-            "D_CB,A": lambda a, b, c, d: a + b - 2 * d,
-        },
-        "A_BC,D": {
-            "B_AC,D": lambda a, b, c, d: a - b - c + 2,
-            "C_BD,A": lambda a, b, c, d: a - 2 * c + 2,
-            "D_C,B_A": lambda a, b, c, d: 2 * a - c - d,
-            "D_CB,A": lambda a, b, c, d: a + b - c - d,
-        },
-        "B_AC,D": {
-            "C_BD,A": lambda a, b, c, d: b - c,
-            "D_C,B_A": lambda a, b, c, d: a + b - d - 2,
-            "D_CB,A": lambda a, b, c, d: 2 * b - d - 2,
-        },
-        "C_BD,A": {
-            "D_C,B_A": lambda a, b, c, d: a + c - d - 2,
-            "D_CB,A": lambda a, b, c, d: b + c - d - 2,
-        },
-        "D_C,B_A": {
-            "D_CB,A": lambda a, b, c, d: b - a,
-        },
-    }
-    for row, cols in rows.items():
-        for col, f in cols.items():
-            CHAIN_DIFF[(row, col)] = (
-                lambda a, b, c, d, m, f=f: f(a, b, c, d)
-            )
-            CHAIN_DIFF[(col, row)] = (
-                lambda a, b, c, d, m, f=f: -f(a, b, c, d)
-            )
-    for name in CHAIN_SEQUENCES:
-        CHAIN_DIFF[(name, name)] = lambda a, b, c, d, m: 0
-
-
-_fill_chain_diff()
-
-# chain winners: first matching row decides
-CHAIN_WINNERS: List[Tuple[Callable[[int, int, int, int], bool], str]] = [
-    (lambda a, b, c, d: b >= max(a, c, d), "B_AC,D"),
-    (lambda a, b, c, d: a > b >= max(c, d) and b + min(c, d) >= a + 2, "B_AC,D"),
-    (lambda a, b, c, d: a > b >= c >= d and a + 2 >= b + d, "A_B,C_D"),
-    (lambda a, b, c, d: a > b >= d >= c and a + 2 >= b + c, "A_BC,D"),
-    (lambda a, b, c, d: a > c >= max(b, d) and c + d >= a + 2, "C_BD,A"),
-    (lambda a, b, c, d: a > c >= max(b, d) and a + 2 >= c + d, "A_B,C_D"),
-    (lambda a, b, c, d: a >= d >= b >= c and b + c >= a + 2, "B_AC,D"),
-    (lambda a, b, c, d: a >= d >= b >= c and a + 2 >= b + c, "A_BC,D"),
-    (
-        lambda a, b, c, d: a >= d >= c >= b and 2 * c >= a + 2 and b + c >= d + 2,
-        "C_BD,A",
-    ),
-    (
-        lambda a, b, c, d: a >= d >= c >= b and 2 * c >= a + 2 and d + 2 >= b + c,
-        "D_CB,A",
-    ),
-    (
-        lambda a, b, c, d: a >= d >= c >= b and a + 2 >= 2 * c and c + d >= a + b,
-        "D_CB,A",
-    ),
-    (
-        lambda a, b, c, d: a >= d >= c >= b and a + 2 >= 2 * c and a + b >= c + d,
-        "A_BC,D",
-    ),
-]
-
-# T-shape (B central, arms sorted a >= c >= d): vertices added in both stages
-TSHAPE_TOTAL: Dict[str, Formula] = {
-    "B_ACD": lambda a, b, c, d, m: (b - 3) * (m - 2)
-    + (a - 1 + c - 1 + d - 1) * (m - 3)
-    + (m - 1) ** 2,
-    "A_BD,C": lambda a, b, c, d, m: (a - 1) * (m - 2)
-    + (b - 3 + c - 1) * (m - 3)
-    + (d - 1) * (m - 4)
-    + (2 * m - 4)
-    + (m - 2) ** 2,
-    "A,C_B,D": lambda a, b, c, d, m: (a - 1) * (m - 2)
-    + (c - 1) * (m - 3)
-    + (b - 3 + d - 1) * (m - 4)
-    + (2 * m - 4)
-    + (2 * m - 6)
-    + (m - 3) ** 2,
-}
-
-TSHAPE_SEQUENCES = list(TSHAPE_TOTAL)
-
-TSHAPE_DIFF: Dict[Tuple[str, str], Formula] = {
-    ("B_ACD", "B_ACD"): lambda a, b, c, d, m: 0,
-    ("B_ACD", "A_BD,C"): lambda a, b, c, d, m: -a + b + d - 2,
-    # corrected from the published -a+2b+d-3, which contradicts the totals
-    # table and the other two difference entries by exactly 1
-    ("B_ACD", "A,C_B,D"): lambda a, b, c, d, m: -a + 2 * b + d - 4,
-    ("A_BD,C", "B_ACD"): lambda a, b, c, d, m: a - b - d + 2,
-    ("A_BD,C", "A_BD,C"): lambda a, b, c, d, m: 0,
-    ("A_BD,C", "A,C_B,D"): lambda a, b, c, d, m: b - 2,
-    ("A,C_B,D", "B_ACD"): lambda a, b, c, d, m: a - 2 * b - d + 4,
-    ("A,C_B,D", "A_BD,C"): lambda a, b, c, d, m: 2 - b,
-    ("A,C_B,D", "A,C_B,D"): lambda a, b, c, d, m: 0,
-}
-
-TSHAPE_WINNERS: List[Tuple[Callable[[int, int, int, int], bool], str]] = [
-    (lambda a, b, c, d: b + d >= a + 2, "B_ACD"),
-    (lambda a, b, c, d: a + 2 >= b + d, "A_BD,C"),
-]
-
-# symbolic text of the six tables, for golden-file emission
 TABLE_TEXT: Dict[int, List[str]] = {
     1: [
         "A_B,C_D\t(a-1)(m-2)+(b-2+c-2)(m-3)+(d-1)(m-4)+2m-4",
@@ -325,6 +179,8 @@ TABLE_TEXT: Dict[int, List[str]] = {
     ],
     5: [
         "\tB_ACD\tA_BD,C\tA,C_B,D",
+        # B_ACD vs A,C_B,D is corrected from the published -a+2b+d-3, which
+        # contradicts Table 4 and the other two difference entries by exactly 1
         "B_ACD\t0\t-a+b+d-2\t-a+2b+d-4",
         "A_BD,C\ta-b-d+2\t0\tb-2",
         "A,C_B,D\ta-2b-d+4\t2-b\t0",
@@ -335,11 +191,58 @@ TABLE_TEXT: Dict[int, List[str]] = {
     ],
 }
 
+Formula = Callable[..., int]
+
+_TOKEN = re.compile(r"max|min|and|[0-9abcdm]|[<>]=?|[-+*(),^{} ]")
+_OPERAND_END = set("0123456789abcdm)}")
+_OPERAND_START = {"a", "b", "c", "d", "m", "(", "max", "min"}
+_TO_PYTHON = str.maketrans({"^": "**", "{": "(", "}": ")"})
+
+
+def _formula(text: str) -> Formula:
+    """One printed cell as `f(a, b, c, d, m=None)`: juxtaposition multiplies,
+    `^` is a power, `{..}` holds the arguments of max/min, and a cell with
+    any token outside `_TOKEN` is rejected before it is evaluated."""
+    tokens = _TOKEN.findall(text)
+    if "".join(tokens) != text:
+        raise ValueError(f"table cell {text!r} has a token outside the grammar")
+    expr = []
+    for prev, tok in zip([""] + tokens, tokens):
+        if prev in _OPERAND_END and tok in _OPERAND_START:
+            expr.append("*")
+        expr.append(tok)
+    source = "lambda a, b, c, d, m=None: " + "".join(expr).translate(_TO_PYTHON)
+    return eval(source, {"__builtins__": {}, "max": max, "min": min})
+
+
+def _rows(index: int) -> List[List[str]]:
+    return [line.split("\t") for line in TABLE_TEXT[index]]
+
+
+def _matrix(index: int) -> Dict[Tuple[str, str], Formula]:
+    header, *rows = _rows(index)
+    return {
+        (row[0], col): _formula(cell)
+        for row in rows
+        for col, cell in zip(header[1:], row[1:])
+    }
+
+
+CHAIN_STAGE1 = {name: _formula(cell) for name, cell in _rows(1)}
+CHAIN_SEQUENCES = list(CHAIN_STAGE1)
+CHAIN_DIFF = _matrix(2)
+CHAIN_WINNERS = [(_formula(cond), name) for cond, name in _rows(3)]
+TSHAPE_TOTAL = {name: _formula(cell) for name, cell in _rows(4)}
+TSHAPE_SEQUENCES = list(TSHAPE_TOTAL)
+TSHAPE_DIFF = _matrix(5)
+TSHAPE_WINNERS = [(_formula(cond), name) for cond, name in _rows(6)]
+
 
 def emit_table(index: int) -> str:
     if index not in TABLE_TEXT:
         raise ValueError("table index must be 1..6")
     return "\n".join(TABLE_TEXT[index])
+
 
 # chain mirror symmetry A<->D, B<->C
 _MIRROR = str.maketrans("ABCD", "DCBA")
@@ -399,8 +302,6 @@ def verify_tables(
     degree_grid: Sequence[Tuple[int, int, int, int]],
     m_grid: Sequence[int],
     shape: str,
-    stage_formulas: Optional[Dict[str, Formula]] = None,
-    diff_formulas: Optional[Dict[Tuple[str, str], Formula]] = None,
 ) -> TableReport:
     """Check closed-form counts, pairwise differences, and winners against the
     library's own computations over the given grids; the report keeps the
@@ -408,11 +309,9 @@ def verify_tables(
     mismatches: List[str] = []
     table: Dict[Tuple[Tuple[int, int, int, int], int], Dict[str, int]] = {}
     if shape == "chain":
-        stage_formulas = stage_formulas or CHAIN_STAGE1
-        diff_formulas = diff_formulas or CHAIN_DIFF
+        stage_formulas, diff_formulas = CHAIN_STAGE1, CHAIN_DIFF
     else:
-        stage_formulas = stage_formulas or TSHAPE_TOTAL
-        diff_formulas = diff_formulas or TSHAPE_DIFF
+        stage_formulas, diff_formulas = TSHAPE_TOTAL, TSHAPE_DIFF
     for degrees in degree_grid:
         case = FourBranchCase(shape=shape, degrees=tuple(degrees))
         topo, labels, seqs = case_sequences(case)

@@ -39,23 +39,29 @@ class Topology:
             for v in tree.vertices
         }
         self._branch_dist: Dict[int, Dict[int, int]] | None = None
+        self._arms = tuple(
+            sorted(
+                (v, leaf)
+                for v in self.branch_vertices
+                for leaf in tree.neighbors(v)
+                if leaf in self.leaves
+            )
+        )
+        self._internal_edges = tuple(
+            sorted(
+                _pair(u, v)
+                for u, v in tree.edges
+                if u in self.branch_vertices and v in self.branch_vertices
+            )
+        )
 
     def arms(self) -> List[Tuple[int, int]]:
-        """(branch vertex, leaf) pairs, sorted."""
-        return sorted(
-            (v, leaf)
-            for v in sorted(self.branch_vertices)
-            for leaf in self.tree.neighbors(v)
-            if leaf in self.leaves
-        )
+        """(branch vertex, leaf) pairs, sorted once at construction."""
+        return list(self._arms)
 
     def internal_edges(self) -> List[Tuple[int, int]]:
         """Sorted pairs of adjacent branch vertices."""
-        return sorted(
-            _pair(u, v)
-            for u, v in self.tree.edges
-            if u in self.branch_vertices and v in self.branch_vertices
-        )
+        return list(self._internal_edges)
 
     def branch_neighbors(self, v: int) -> Tuple[int, ...]:
         return self._branch_nbrs[v]

@@ -113,9 +113,6 @@ class Tree:
             self._dist = {v: self.distances_from(v) for v in self.vertices}
         return self._dist
 
-    def eccentricity(self, v: int) -> int:
-        return max(self.distances_from(v).values())
-
     def ball(self, v: int, radius: int) -> frozenset:
         """Vertices within `radius` of v, by a BFS that stops at that depth."""
         if v not in self._adj:

@@ -213,7 +213,7 @@ def reference_witness(tree, k, cover):
             if not candidates:
                 raise AssertionError("no admissible source; cover was invalid")
             pool = [v for v in candidates if v not in burned] or candidates
-            c = max(pool, key=lambda v: (min(d[v] for d in dist) if dist else 0, -v))
+            c = min(pool)
         burned.add(c)
         sources.append(c)
         dist.append(tree.distances_from(c))

@@ -281,19 +281,20 @@ def test_verify_tables_small_grid():
     assert rep2.ok, rep2.mismatches
 
 
-def test_verify_tables_negative_control():
+def test_verify_tables_negative_control(monkeypatch):
     # deliberately corrupted closed form must be reported
-    bad = dict(extremal.CHAIN_STAGE1)
-    bad["A_B,C_D"] = lambda a, b, c, d, m: 0
-    rep = verify_tables([(3, 3, 3, 3)], [6], "chain", stage_formulas=bad)
+    monkeypatch.setitem(extremal.CHAIN_STAGE1, "A_B,C_D", lambda a, b, c, d, m: 0)
+    rep = verify_tables([(3, 3, 3, 3)], [6], "chain")
     assert not rep.ok
     assert any("A_B,C_D" in line for line in rep.mismatches)
 
 
 def test_verify_tables_reports_corrupted_difference_and_winner(monkeypatch):
-    bad = dict(extremal.CHAIN_DIFF)
-    bad[("A_B,C_D", "A_BC,D")] = lambda a, b, c, d, m: c - d + 1
-    rep = verify_tables([(3, 3, 3, 3)], [6], "chain", diff_formulas=bad)
+    with monkeypatch.context() as patch:
+        patch.setitem(
+            extremal.CHAIN_DIFF, ("A_B,C_D", "A_BC,D"), lambda a, b, c, d, m: c - d + 1
+        )
+        rep = verify_tables([(3, 3, 3, 3)], [6], "chain")
     assert rep.mismatches == [
         "chain (3, 3, 3, 3) m=6 A_B,C_D vs A_BC,D: difference 0 != table 1"
     ]
@@ -303,6 +304,26 @@ def test_verify_tables_reports_corrupted_difference_and_winner(monkeypatch):
     monkeypatch.setattr(extremal, "CHAIN_WINNERS", rows)
     rep = verify_tables([(3, 3, 3, 3)], [6], "chain")
     assert len(rep.mismatches) == 1 and "table winner A_B,C_D" in rep.mismatches[0]
+
+
+def test_verify_tables_checks_the_printed_lower_triangle(monkeypatch):
+    # Table 2 below the diagonal: B_AC,D minus A_B,C_D is printed b+d-a-2
+    header, *rows = extremal._rows(2)
+    row = next(r for r in rows if r[0] == "B_AC,D")
+    cell = row[1 + header[1:].index("A_B,C_D")]
+    assert cell == "b+d-a-2"
+    corrupted = extremal._formula(cell.replace("-2", "-1"))
+    monkeypatch.setitem(extremal.CHAIN_DIFF, ("B_AC,D", "A_B,C_D"), corrupted)
+    rep = verify_tables([(3, 3, 3, 3)], [6], "chain")
+    assert rep.mismatches == [
+        "chain (3, 3, 3, 3) m=6 B_AC,D vs A_B,C_D: difference 1 != table 2"
+    ]
+
+
+def test_formula_rejects_foreign_names():
+    for cell in ("__import__('os')", "a.real", "x+1", "a==b"):
+        with pytest.raises(ValueError):
+            extremal._formula(cell)
 
 
 def test_emit_table_deterministic():
