@@ -289,7 +289,7 @@ def induced_plan(
 def induce_tree(spec: InducedSpec) -> Tree:
     """Concrete tree induced by the sequence at degree m (default or explicit
     Stage-2 placement); its order always equals induced_order."""
-    return Tree(induced_plan(spec).edges)
+    return Tree._built(induced_plan(spec).edges)
 
 
 def witness_schedule(spec: InducedSpec, tree: Optional[Tree] = None) -> BurningSchedule:

@@ -3,15 +3,16 @@
 The m-burnability decision runs on the covering form of the problem: a tree is
 m-burnable iff balls of radii m-1, m-2, ..., 0 can cover it.  A covering always
 yields a valid burning sequence by simulating the rounds and re-siting any
-source that is already burned, so the decision is exact and every witness
-passes the full sequence characterization (coverage plus the pairwise distance
-condition).  Two engines decide coverage, each with its proof in its
-docstring.  Trees with at most one branch vertex (paths and spiders) go to
-the segment engine: it tries each ball through the head and covers the arm
-suffixes left over with an exact path-forest DP, which alone decides a path
-(the law n <= m*m).  Every other tree goes to a search that branches only
-on which radius covers a deepest uncovered vertex, with the ball's center
-fixed by an exchange argument.
+source that is already burned, so the decision is exact.  Every witness
+returned is checked by one simulated burn of the tree (`_burns`), which
+succeeds exactly when the sequence meets the full characterization
+(coverage plus the pairwise distance condition).  Two engines decide
+coverage, each with its proof in its docstring.  Trees with at most one
+branch vertex (paths and spiders) go to the segment engine: it tries each
+ball through the head and covers the arm suffixes left over with an exact
+path-forest DP, which alone decides a path (the law n <= m*m).  Every other
+tree goes to a search that branches only on which radius covers a deepest
+uncovered vertex, with the ball's center fixed by an exchange argument.
 
 Burnability is monotone in m, so what the general search proves about a
 tree is one bracket per isomorphism class: lo < b(tree) <= hi, with lo the
@@ -125,14 +126,36 @@ def _balls(tree: Tree, sources: Sequence[int]) -> Iterator[Tuple[Dict[int, int],
 
 
 def _burns(tree: Tree, sources: Sequence[int]) -> bool:
-    """True iff the sources, vertices of the tree, burn it: their balls cover
-    it and keep the distance condition.  Stops at the first violation."""
-    covered = set()
-    for dist, keeps in _balls(tree, sources):
-        if not keeps:
+    """True iff the sources x_1..x_m form a burning sequence of the tree,
+    decided by one simulated burn in O(n), not by a ball search per source.
+
+    Round t spreads the fire one step from every burned vertex and then
+    lights x_t.  A vertex v is burned before round t's spread iff
+    d(x_i, v) <= t-1-i for some i < t, since x_i's fire has spread t-1-i
+    times by then.  So x_t is unburned there iff d(x_i, x_t) >= t-i for
+    every i < t, which is the distance condition; a repeated source fails
+    it at distance 0, and a source outside the tree fails at once.  After
+    round m, v is burned iff d(x_i, v) <= m-i for some i, so every vertex is
+    burned iff the N_{m-i}[x_i] cover the tree.  Stops at the first
+    violation.
+    """
+    adj = tree._adj
+    burned = set()
+    fresh: List[int] = []  # burned in the latest round
+    for x in sources:
+        if x not in adj or x in burned:
             return False
-        covered.update(dist)
-    return len(covered) == tree.order
+        spread = []
+        for v in fresh:
+            for w in adj[v]:
+                if w not in burned:
+                    burned.add(w)
+                    spread.append(w)
+        if x not in burned:
+            burned.add(x)
+            spread.append(x)
+        fresh = spread
+    return len(burned) == tree.order
 
 
 def verify_schedule(tree: Tree, schedule: BurningSchedule) -> NeighborhoodCover:
@@ -621,7 +644,7 @@ def _scan(tree: Tree, stop: Optional[int]) -> Optional[Tuple[int, BurningSchedul
     key, order, parent = canonical_form(tree)
     ids = _memo.witness(key)
     if ids is None:
-        canon = Tree((i, parent[i]) for i in range(1, len(parent)))
+        canon = Tree._built((i, parent[i]) for i in range(1, len(parent)))
         start = max(_scan_start(canon), _memo.bracket(key)[0] + 1)
         k, ids = _first_cover(canon, start, stop, _cover_general)
         # k - 1 is proved not burnable, by the start's bound or by a failed cover

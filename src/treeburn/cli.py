@@ -232,7 +232,7 @@ def _cmd_adm_induce(args) -> int:
         raise DomainError("adm induce requires -m")
     spec = InducedSpec(topology=topo, sequence=seq, m=args.m)
     plan = adm.induced_plan(spec)
-    tree = Tree(plan.edges)
+    tree = Tree._built(plan.edges)
     print(_emit([("order", str(tree.order))], args.format))
     print(f"burn m={args.m} sources={','.join(map(str, plan.sources))}")
     for u, v in tree.edges:

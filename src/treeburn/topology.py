@@ -113,10 +113,11 @@ class Decomposition:
 def _walk(tree: Tree, start: int, first: int) -> List[int]:
     """Follow the path from a branch vertex into direction `first` until the
     next branch vertex or a leaf; returns the full vertex path."""
+    adj = tree._adj
     path = [start, first]
     prev, cur = start, first
-    while tree.degree(cur) == 2:  # branch vertices have degree >= 3
-        a, b = tree.neighbors(cur)
+    while len(adj[cur]) == 2:  # branch vertices have degree >= 3
+        a, b = adj[cur]
         prev, cur = cur, b if a == prev else a
         path.append(cur)
     return path
@@ -189,7 +190,7 @@ def expand(topology: Topology, lengths: LengthAssignment) -> Tree:
         chain = [u] + list(range(fresh, fresh + k - 1)) + [v]
         fresh += k - 1
         edges.extend(zip(chain, chain[1:]))
-    return Tree(edges)
+    return Tree._built(edges)
 
 
 def make_chain_topology(a: int, b: int, c: int, d: int) -> Tuple[Topology, Dict[str, int]]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 
@@ -40,16 +40,12 @@ class Tree:
             raise TreeError(
                 f"disconnected: {len(vs)} vertices but {len(edge_set)} edges"
             )
-        sorted_edges = sorted(edge_set)
-        adj: Dict[int, List[int]] = {v: [] for v in vs}
-        # in sorted edge order every vertex meets its neighbours in increasing
-        # order: (u, v) with u < v comes before every (v, w)
-        for u, v in sorted_edges:
-            adj[u].append(v)
-            adj[v].append(u)
+        self._fill(sorted(edge_set), {v: [] for v in vs})
         # connectivity (together with |E| = |V| - 1 this rules out cycles)
-        seen = {next(iter(vs))}
-        stack = [next(iter(vs))]
+        adj = self._adj
+        root = self.vertices[0]
+        seen = {root}
+        stack = [root]
         while stack:
             for w in adj[stack.pop()]:
                 if w not in seen:
@@ -57,7 +53,32 @@ class Tree:
                     stack.append(w)
         if len(seen) != len(vs):
             raise TreeError("disconnected")
-        self.vertices: Tuple[int, ...] = tuple(sorted(vs))
+
+    @classmethod
+    def _built(cls, edges: Iterable[Tuple[int, int]]) -> "Tree":
+        """The tree on `edges`, with none of the constructor's checks.
+
+        The caller guarantees that the edges form a tree with at least one
+        edge: no self-loop, no edge twice in either orientation, and
+        connected with one vertex more than edges.  Builders whose edge
+        lists are trees by construction use it; parsed or user-given edges
+        go through `Tree(...)`.
+        """
+        tree = cls.__new__(cls)
+        tree._fill(sorted((u, v) if u < v else (v, u) for u, v in edges), defaultdict(list))
+        return tree
+
+    def _fill(
+        self, sorted_edges: List[Tuple[int, int]], adj: Dict[int, List[int]]
+    ) -> None:
+        """Set every field from the sorted (u < v) edges and `adj`, which
+        holds an empty neighbour list per vertex or makes one on first use."""
+        # in sorted edge order every vertex meets its neighbours in increasing
+        # order: (u, v) with u < v comes before every (v, w)
+        for u, v in sorted_edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        self.vertices: Tuple[int, ...] = tuple(sorted(adj))
         self.edges: Tuple[Tuple[int, int], ...] = tuple(sorted_edges)
         self._adj: Dict[int, Tuple[int, ...]] = {v: tuple(ws) for v, ws in adj.items()}
         self._dist: Dict[int, Dict[int, int]] | None = None
@@ -156,7 +177,7 @@ def make_path(n: int) -> Tree:
         raise TreeError("path needs at least one vertex")
     if n == 1:
         return Tree([], vertices=[0])
-    return Tree([(i, i + 1) for i in range(n - 1)])
+    return Tree._built([(i, i + 1) for i in range(n - 1)])
 
 
 def make_spider(arm_lengths: Sequence[int]) -> Tree:
@@ -173,7 +194,7 @@ def make_spider(arm_lengths: Sequence[int]) -> Tree:
             edges.append((prev, nxt))
             prev = nxt
             nxt += 1
-    return Tree(edges)
+    return Tree._built(edges)
 
 
 def make_star(n_leaves: int) -> Tree:
@@ -226,13 +247,13 @@ def parse_labels(text: str) -> Dict[str, int]:
 
 def subdivide_edge(tree: Tree, u: int, v: int) -> Tree:
     """Insert one fresh degree-2 vertex into the edge (u, v)."""
-    key = (u, v) if u < v else (v, u)
-    if key not in set(tree.edges):
+    if u not in tree or v not in tree.neighbors(u):
         raise TreeError(f"no edge {u} {v}")
+    key = (u, v) if u < v else (v, u)
     fresh = max(tree.vertices) + 1
     edges = [e for e in tree.edges if e != key]
     edges.extend([(u, fresh), (fresh, v)])
-    return Tree(edges)
+    return Tree._built(edges)
 
 
 def _centroid(tree: Tree) -> Tuple[int, ...]:

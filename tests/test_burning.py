@@ -840,6 +840,19 @@ def test_lean_check_agrees_with_verify_schedule(rng):
     assert ("valid", True) in seen and ("duplicate", False) in seen, seen
 
 
+def test_lean_check_distance_boundary():
+    # path 0..7, m = 3: N_2[5] and N_1[1] cover it, so x_3 decides
+    p = make_path(8)
+    assert burning._burns(p, (5, 1, 3))  # d(x_1, x_3) = 2 = 3 - 1
+    assert burning._burns(p, (5, 1, 2))  # d(x_2, x_3) = 1 = 3 - 2
+    assert not burning._burns(p, (5, 1, 4))  # d(x_1, x_3) = 1 = 3 - 1 - 1
+    assert not burning._burns(p, (5, 1, 1))  # repeated: d(x_2, x_3) = 0
+    assert not burning._burns(p, (5, 5, 1))
+    assert not burning._burns(p, (5, 1, 99))  # outside the tree
+    assert not burning._burns(p, (99,))
+    assert not burning._burns(p, (5, 1))  # N_1[5] and N_0[1] leave 0
+
+
 def test_path_forest_rejects_bad_orders():
     with pytest.raises(ValueError):
         PathForest((0, 3))

@@ -16,7 +16,15 @@ from treeburn.tree import (
     subdivide_edge,
 )
 
-from conftest import random_tree
+from treeburn import extremal
+from treeburn.topology import (
+    LengthAssignment,
+    expand,
+    make_chain_topology,
+    parse_topology,
+)
+
+from conftest import random_topology, random_tree
 import random
 
 
@@ -289,3 +297,71 @@ def test_neighbors_are_kept_sorted_tuples():
         for v in u.vertices:
             want = sorted(w for e in u.edges for w in e if v in e and w != v)
             assert u.neighbors(v) == tuple(want)
+
+
+@pytest.fixture
+def built_edges(monkeypatch):
+    """Every edge list handed to `Tree._built`, in call order."""
+    calls = []
+    build = Tree._built.__func__
+
+    def record(cls, edges):
+        calls.append(list(edges))
+        return build(cls, calls[-1])
+
+    monkeypatch.setattr(Tree, "_built", classmethod(record))
+    return calls
+
+
+def assert_same_as_checked(tree, edges):
+    """`tree` equals what the checking constructor builds from `edges`."""
+    checked = Tree(edges)
+    assert tree.vertices == checked.vertices
+    assert tree.edges == checked.edges
+    for v in checked.vertices:
+        assert tree.neighbors(v) == checked.neighbors(v)
+
+
+def random_lengths(rng, topo):
+    return LengthAssignment(
+        arm_lengths={a: rng.randint(1, 6) for a in topo.arms()},
+        internal_lengths={e: rng.randint(1, 6) for e in topo.internal_edges()},
+    )
+
+
+def test_trusted_builders_match_the_checked_constructor(built_edges):
+    rng = random.Random(15)
+    chain, _ = make_chain_topology(3, 3, 3, 3)
+    builds = [lambda: expand(chain, random_lengths(rng, chain)) for _ in range(200)]
+    for _ in range(60):
+        topo = random_topology(rng, 5)
+        builds.append(lambda topo=topo: expand(topo, random_lengths(rng, topo)))
+    for _ in range(30):
+        topo = random_topology(rng, 4)
+        m = len(topo.branch_vertices) + rng.randint(1, 3)
+        builds.append(lambda topo=topo, m=m: extremal.find_extremal(topo, m).tree)
+    for _ in range(60):
+        legs = [rng.randint(1, 8) for _ in range(rng.randint(3, 6))]
+        builds.append(lambda legs=legs: make_spider(legs))
+    for n in range(2, 51):
+        builds.append(lambda n=n: make_path(n))
+    for _ in range(60):
+        t = random_tree(rng, rng.randint(2, 30))
+        u, v = rng.choice(t.edges)
+        builds.append(lambda t=t, e=rng.choice([(u, v), (v, u)]): subdivide_edge(t, *e))
+        _, _, parent = canonical_form(relabel(t, rng))
+        builds.append(
+            lambda parent=parent: Tree._built((i, parent[i]) for i in range(1, len(parent)))
+        )
+    for build in builds:
+        calls = len(built_edges)
+        tree = build()
+        assert len(built_edges) == calls + 1
+        assert_same_as_checked(tree, built_edges[-1])
+
+
+def test_parsed_and_given_edges_are_checked(built_edges):
+    parse_tree("edge 0 1\nedge 1 2\n")
+    parse_topology("edge 0 1\nedge 0 2\nedge 0 3\n")
+    Tree([(0, 1), (1, 2)])
+    assert built_edges == []
