@@ -210,9 +210,15 @@ class InducedSpec:
 class InducedPlan(NamedTuple):
     """Edges and order of the induced tree, and the source of each round."""
 
-    edges: List[Tuple[int, int]]
+    edges: Tuple[Tuple[int, int], ...]
     order: int
     sources: Tuple[int, ...]
+
+
+# The last plan `induced_plan` returned, with its spec: `find_extremal`
+# builds the winner's tree from it, and the winner's `witness_schedule`
+# reads the same plan.  One entry, owned by this module.
+_last_plan: Optional[Tuple[InducedSpec, InducedPlan]] = None
 
 
 def induced_plan(
@@ -220,7 +226,15 @@ def induced_plan(
 ) -> InducedPlan:
     """The induced tree's edges, order and sources.  `sig` is the sequence's
     signature when the caller already holds it (the sequence is then taken
-    as valid); otherwise it is computed and the sequence validated."""
+    as valid); otherwise it is computed and the sequence validated.
+
+    A spec equal to the last one returned gets the same plan back: equal
+    topology object, sequence, m and placement.  A plan is kept only once
+    every check has passed, so an invalid spec always raises."""
+    global _last_plan
+    last = _last_plan
+    if last is not None and last[0] == spec:
+        return last[1]
     topology, seq, m = spec.topology, spec.sequence, spec.m
     if sig is None:
         sig = signature(topology, seq)
@@ -279,11 +293,13 @@ def induced_plan(
     edges = []
     for path in list(arm_paths.values()) + list(internal_paths.values()):
         edges.extend(zip(path, path[1:]))
-    return InducedPlan(
-        edges=edges,
+    plan = InducedPlan(
+        edges=tuple(edges),
         order=topology.tree.order + s1.total + s2.total,
         sources=tuple(sources[i] for i in range(1, m + 1)),
     )
+    _last_plan = (spec, plan)
+    return plan
 
 
 def induce_tree(spec: InducedSpec) -> Tree:
@@ -295,9 +311,11 @@ def induce_tree(spec: InducedSpec) -> Tree:
 def witness_schedule(spec: InducedSpec, tree: Optional[Tree] = None) -> BurningSchedule:
     """Length-m burning sequence with block roots as the early sources and
     segment centers for the remaining rounds.  Read off the plan; no tree is
-    built."""
+    built.  A given `tree` must have exactly the plan's edges."""
     plan = induced_plan(spec)
-    if tree is not None and tree.order != plan.order:
+    if tree is not None and tree.edges != tuple(
+        sorted((u, v) if u < v else (v, u) for u, v in plan.edges)
+    ):
         raise ValueError("tree was not produced by this spec")
     return BurningSchedule(sources=plan.sources)
 
@@ -415,42 +433,36 @@ def _root_choices(groups: List[List[int]]) -> Iterator[Tuple[Block, ...]]:
 MAX_BRANCH_VERTICES = 10
 
 
+# Every (index, distance) pair a table holds, made once: the offsets and
+# out-edges of all tables share them.
+_PAIRS = tuple(
+    tuple((i, d) for d in range(MAX_BRANCH_VERTICES)) for i in range(MAX_BRANCH_VERTICES)
+)
+
+
 class _Placement(NamedTuple):
     """One connected block with one choice of root, as the construction
     places it.  Members are branch-vertex indices (positions in the sorted
     branch vertices); placed at index j, member i gets sig(i) = d + j."""
 
-    block: Block
-    key: tuple  # this block's entry of `sequence_key`
+    mask: int  # the members, as a bitmask over the indices
     root: int  # index of the root
     offsets: Tuple[Tuple[int, int], ...]  # (member i, d(root, i))
     # (w, d(root, v)) for every skeleton edge from a member v to a w outside
     # the block; with w placed earlier, the edge is a reduction site iff
     # sig(w) = d(root, v) + j - 1.
     edges_out: Tuple[Tuple[int, int], ...]
-    arms: int  # arms at the members
-    arm_dist: int  # sum over members of arms(v) * d(root, v)
     out_dist: int  # sum of d(root, v) over edges_out
     inner: int  # skeleton edges inside the block: members - 1
 
 
-def _skeleton(topology: Topology) -> Tuple[tuple, tuple, tuple]:
-    """All the search reads of a topology: sorted branch ids, sorted skeleton
-    edges and each branch vertex's arm count.  Leaf ids do not enter."""
-    branch = tuple(sorted(topology.branch_vertices))
-    nbrs = topology.branch_neighbors
-    return (
-        branch,
-        tuple(sorted((u, w) for u in branch for w in nbrs(u) if u < w)),
-        tuple(topology.tree.degree(v) - len(nbrs(v)) for v in branch),
-    )
-
-
 class _BlockTable:
-    """Every connected block of a `_skeleton` triple, as a bitmask over the
-    sorted branch vertices, with each root's `_Placement`."""
+    """Every connected block of a labelled skeleton (`Topology.skeleton`'s
+    sorted branch ids and skeleton edges; arms do not enter), as a bitmask
+    over the sorted branch vertices, with each root's `_Placement`.  Shared
+    and read-only; a placement's `Block` and key are made on demand."""
 
-    def __init__(self, branch: tuple, skeleton: tuple, arms: tuple):
+    def __init__(self, branch: tuple, skeleton: tuple):
         k = len(branch)
         if k > MAX_BRANCH_VERTICES:
             raise ValueError(
@@ -461,9 +473,10 @@ class _BlockTable:
         for u, v in skeleton:
             neighbors[index[u]].append(index[v])
             neighbors[index[v]].append(index[u])
+        self.branch = branch
         self.k = k
         self.full = (1 << k) - 1
-        self.neighbor_bits = bits = [sum(1 << w for w in nb) for nb in neighbors]
+        self.neighbor_bits = bits = tuple(sum(1 << w for w in nb) for nb in neighbors)
         dist = []  # one search of the skeleton tree per branch vertex
         for s in range(k):
             d = [-1] * k
@@ -483,25 +496,42 @@ class _BlockTable:
             # spans |set| - 1 skeleton edges
             if sum((bits[i] & mask).bit_count() for i in members) != 2 * len(members) - 2:
                 continue
-            vertex_set = frozenset(branch[i] for i in members)
             out = [(i, w) for i in members for w in neighbors[i] if not mask >> w & 1]
-            ids = tuple(branch[i] for i in members)
-            arms_in = sum(arms[i] for i in members)
             entries = self.placements[mask] = []
             for r in members:
                 d = dist[r]
                 entries.append(_Placement(
-                    Block(vertex_set, branch[r]),
-                    (ids, branch[r]),
+                    mask,
                     r,
-                    tuple([(i, d[i]) for i in members]),
-                    tuple([(w, d[i]) for i, w in out]),
-                    arms_in,
-                    sum([arms[i] * d[i] for i in members]),
+                    tuple([_PAIRS[i][d[i]] for i in members]),
+                    tuple([_PAIRS[w][d[i]] for i, w in out]),
                     sum([d[i] for i, _ in out]),
                     len(members) - 1,
                 ))
-        self.masks = list(self.placements)
+        self.masks = tuple(self.placements)
+
+    def key(self, p: _Placement) -> tuple:
+        """`p`'s entry of `sequence_key`."""
+        return (
+            tuple(v for i, v in enumerate(self.branch) if p.mask >> i & 1),
+            self.branch[p.root],
+        )
+
+    def block(self, p: _Placement) -> Block:
+        ids, root = self.key(p)
+        return Block(frozenset(ids), root)
+
+
+# Labelled skeletons whose `_BlockTable` `_block_table` keeps.  One pass of
+# the adm-search benchmark asks for 15 (its 24 four-branch degree-grid
+# topologies share two).
+_TABLE_MEMO = 16
+
+
+@lru_cache(maxsize=_TABLE_MEMO)
+def _block_table(branch: tuple, skeleton: tuple) -> _BlockTable:
+    """The shared, read-only `_BlockTable` of a labelled skeleton."""
+    return _BlockTable(branch, skeleton)
 
 
 def _edges_to_placed(
@@ -545,8 +575,12 @@ def _canonical_sequences(
     ``[s for s in enumerate_admissible(t, L) if is_canonical(t, s)]``; with
     `empty_blocks` false it is the part of that set without an empty block.
     """
-    table = _BlockTable(*_skeleton(topology))
-    placements = table.placements
+    table = _block_table(*topology.skeleton()[:2])
+    # each placement with its Block, made once per call
+    placements = {
+        mask: [(p, table.block(p)) for p in entries]
+        for mask, entries in table.placements.items()
+    }
     sig = [-1] * table.k  # -1 until placed; placed signatures are >= 1
     blocks: List[Block] = []
 
@@ -561,12 +595,12 @@ def _canonical_sequences(
             blocks.pop()
         for mask in candidates:
             rest = None
-            for p in placements[mask]:
+            for p, block in placements[mask]:
                 if _edges_to_placed(p.edges_out, sig, j) is None:
                     continue
                 for i, d in p.offsets:
                     sig[i] = d + j
-                blocks.append(p.block)
+                blocks.append(block)
                 if mask == free:
                     yield AdmissibleSequence(blocks=tuple(blocks))
                 else:
@@ -629,15 +663,17 @@ def best_canonical(
     below the best order found, so every sequence that ties the winner is
     still compared by `sequence_key`.
 
-    Memo.  The search reads only `_skeleton`'s triple, and `_best_at_m0`
-    keeps its result for the last `_SEARCH_MEMO` triples: one search serves
-    every m and every topology with that labelled skeleton.  This is exact,
-    as |T| = k + A, and `sequence_key` reads only branch ids.
+    Memo.  The search reads only `Topology.skeleton`'s triple, and
+    `_best_at_m0` keeps its result for the last `_SEARCH_MEMO` triples: one
+    search serves every m and every topology with that labelled skeleton.
+    This is exact, as |T| = k + A, and `sequence_key` reads only branch ids.
+    Its block table depends on branch ids and skeleton edges alone and is
+    shared through `_block_table`.
     """
     k = len(topology.branch_vertices)
     if m <= k:
         raise ValueError(f"m must exceed the branch-vertex count {k}")
-    order, blocks, sig, arms = _best_at_m0(*_skeleton(topology))
+    order, blocks, sig, arms = _best_at_m0(*topology.skeleton())
     m0 = k + 1
     return (
         order + (m - m0) * (m + m0 + arms - 2),
@@ -646,18 +682,27 @@ def best_canonical(
     )
 
 
-# Labelled skeletons whose search result `_best_at_m0` keeps.  One pass of
-# the adm-search benchmark asks for 37 distinct skeletons.
+# `Topology.skeleton` triples (branch ids, skeleton edges, arm counts) whose
+# search result `_best_at_m0` keeps, least recently used dropped first.  One
+# pass of the adm-search benchmark asks for 37 distinct triples.
 _SEARCH_MEMO = 256
 
 
 @lru_cache(maxsize=_SEARCH_MEMO)
 def _best_at_m0(branch: tuple, skeleton: tuple, arms: tuple):
-    """`best_canonical` at m0 = k + 1 for `_skeleton`'s triple, as immutable
-    values: (order at m0, blocks, ((vertex, sig), ...), A)."""
-    table = _BlockTable(branch, skeleton, arms)
-    placements = table.placements
+    """`best_canonical` at m0 = k + 1 for `Topology.skeleton`'s triple, as
+    immutable values: (order at m0, blocks, ((vertex, sig), ...), A)."""
+    table = _block_table(branch, skeleton)
     k = table.k
+    # per block, the arms at its members; per placement, the sum over
+    # members v of arms(v) * d(root, v)
+    placements = {
+        mask: (
+            sum([arms[i] for i, _ in entries[0].offsets]),
+            [(p, sum([arms[i] * d for i, d in p.offsets])) for p in entries],
+        )
+        for mask, entries in table.placements.items()
+    }
     m0 = k + 1  # the degree the search scores at
     # larger blocks first: the one-block sequence scores high, so the bound
     # starts cutting at once
@@ -680,7 +725,8 @@ def _best_at_m0(branch: tuple, skeleton: tuple, arms: tuple):
         for mask in candidates:
             complete = mask == free
             rest = None
-            for p in placements[mask]:
+            p_arms, entries = placements[mask]
+            for p, arm_dist in entries:
                 if neighbor_bits[p.root] & old_roots:
                     continue
                 hit = _edges_to_placed(p.edges_out, sig, j)
@@ -688,7 +734,7 @@ def _best_at_m0(branch: tuple, skeleton: tuple, arms: tuple):
                     continue
                 n_placed, d_placed, s_placed = hit
                 gained = (
-                    score + p.arms * arm_rate - p.arm_dist
+                    score + p_arms * arm_rate - arm_dist
                     + n_placed * cross_rate - d_placed - s_placed
                 )
                 if complete:
@@ -697,14 +743,14 @@ def _best_at_m0(branch: tuple, skeleton: tuple, arms: tuple):
                         best_order, best, best_key = order, stack + [p], None
                     elif order == best_order:
                         if best_key is None:
-                            best_key = tuple(q.key for q in best)
-                        key = tuple(q.key for q in stack) + (p.key,)
+                            best_key = tuple(map(table.key, best))
+                        key = tuple(map(table.key, stack)) + (table.key(p),)
                         if key < best_key:
                             best, best_key = stack + [p], key
                     continue
                 # the child's state, after block j
                 n_new = len(p.edges_out) - n_placed
-                c_arms = arms_free - p.arms
+                c_arms = arms_free - p_arms
                 c_count = cross_count - n_placed + n_new
                 c_sig = cross_sig - s_placed + p.out_dist - d_placed + j * n_new
                 c_edges = free_edges - n_new - p.inner
@@ -730,7 +776,7 @@ def _best_at_m0(branch: tuple, skeleton: tuple, arms: tuple):
     place(1, table.full, masks, 0, 0, 0, n_arms, 0, 0, k - 1)
     return (
         k + n_arms + best_order,
-        tuple(p.block for p in best),
+        tuple(map(table.block, best)),
         tuple((branch[i], d + j) for j, p in enumerate(best, start=1) for i, d in p.offsets),
         n_arms,
     )

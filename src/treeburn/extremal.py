@@ -108,7 +108,9 @@ def find_extremal(topology: Topology, m: int, verify: bool = False) -> ExtremalR
     is memoised, and each m adds the same shift to it.  This is exact,
     because the search reads only branch ids, skeleton edges and arm
     counts, and ties are broken on branch ids alone.  Only the tree is
-    built per call.
+    built per call, from the winner's `admissible.induced_plan`, which
+    that module keeps: the winner's `witness_schedule` (an equal
+    `InducedSpec`) reads the same plan and builds nothing.
 
     Every candidate satisfies m > max signature: block j of a sequence
     without empty blocks holds at most k - j + 1 of the k branch vertices,

@@ -12,7 +12,7 @@ module's segment engine, which covers the leg suffixes past the head's ball.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 from .tree import Tree, make_spider
 from .burning import BurningSchedule, is_m_burnable, _cover_suffixes, _partitions
@@ -55,6 +55,18 @@ def extremal_order(n: int, m: int) -> int:
     return n * (m - 1) + 1 + (m - 1) ** 2
 
 
+def _legs(profile: SpiderProfile) -> Tuple[int, List[range]]:
+    """`burning._legs` of `profile.tree()`, read off the arm lengths:
+    `make_spider` gives the head id 0 and numbers the leg vertices arm by
+    arm from 1, each from the head out."""
+    legs = []
+    start = 1
+    for length in profile.arm_lengths:
+        legs.append(range(start, start + length))
+        start += length
+    return 0, legs
+
+
 def witness_schedule(profile: SpiderProfile, m: int) -> BurningSchedule:
     """A valid m-round schedule that burns the head first, if one exists.
 
@@ -63,14 +75,13 @@ def witness_schedule(profile: SpiderProfile, m: int) -> BurningSchedule:
     by the balls of radii m-2..0, whose centres burn in rounds 2..m.  The
     balls tile the tree, so no centre is burned before its own round.
     """
-    tree = profile.tree()
-    head, arms = burning._legs(tree)
+    head, arms = _legs(profile)
     cover = _cover_suffixes(arms, [m - 1] * len(arms), range(m - 2, -1, -1))
     if cover is None or len(cover) != m - 1:
         raise ValueError(f"no head-first schedule of length {m} for {profile}")
     rounds = sorted(cover, reverse=True)  # radius m-i burns in round i
     sched = BurningSchedule(sources=(head,) + tuple(c for _, c in rounds))
-    if not burning._burns(tree, sched.sources):
+    if not burning._burns(profile.tree(), sched.sources):
         raise AssertionError(f"internal error: invalid schedule for {profile}")
     return sched
 

@@ -39,6 +39,7 @@ class Topology:
             for v in tree.vertices
         }
         self._branch_dist: Dict[int, Dict[int, int]] | None = None
+        self._skeleton: Tuple[tuple, tuple, tuple] | None = None
         self._arms = tuple(
             sorted(
                 (v, leaf)
@@ -86,6 +87,19 @@ class Topology:
                 table[s] = dist
             self._branch_dist = table
         return self._branch_dist[u][v]
+
+    def skeleton(self) -> Tuple[tuple, tuple, tuple]:
+        """Sorted branch ids, sorted skeleton edges (u < w) and each branch
+        vertex's arm count, in branch-id order; computed on first use.  This
+        is all `admissible`'s canonical search reads: leaf ids do not enter."""
+        if self._skeleton is None:
+            branch = tuple(sorted(self.branch_vertices))
+            self._skeleton = (
+                branch,
+                self._internal_edges,
+                tuple(self.tree.degree(v) - len(self._branch_nbrs[v]) for v in branch),
+            )
+        return self._skeleton
 
     def __repr__(self) -> str:
         return (

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,8 +6,10 @@ import pytest
 from treeburn import admissible as adm
 from treeburn.admissible import AdmissibleSequence, Block, InducedSpec
 from treeburn.burning import burning_number, is_m_burnable, verify_schedule
+from treeburn.extremal import CHAIN_SEQUENCES, find_extremal
 from treeburn.tree import Tree
 from treeburn.topology import (
+    Topology,
     make_chain_topology,
     make_star_topology,
     make_tshape_topology,
@@ -177,6 +180,154 @@ def test_search_memo_is_bounded():
         assert order == n + 2  # n(m-1) + 1 + (m-1)^2 at m = 2
         assert adm._best_at_m0.cache_info().currsize <= bound
     assert adm._best_at_m0.cache_info().currsize == bound
+
+
+def test_witness_schedule_rejects_a_tree_of_another_sequence():
+    # the tree must be the plan's own, not one of the same order induced by
+    # another sequence
+    same_order = 0
+    for m in (5, 6):
+        specs = {
+            name: InducedSpec(topology=CHAIN, sequence=seq(name), m=m)
+            for name in CHAIN_SEQUENCES
+        }
+        trees = {name: adm.induce_tree(spec) for name, spec in specs.items()}
+        for name, spec in specs.items():
+            own = trees[name]
+            assert adm.witness_schedule(spec, Tree(own.edges)).sources == (
+                adm.induced_plan(spec).sources
+            )
+            for other, tree in trees.items():
+                if other == name:
+                    continue
+                same_order += tree.order == own.order
+                with pytest.raises(ValueError, match="not produced by this spec"):
+                    adm.witness_schedule(spec, tree)
+    assert same_order >= 28
+    spec = InducedSpec(topology=CHAIN, sequence=seq("A_B,C_D"), m=6)
+    other = adm.induce_tree(InducedSpec(topology=CHAIN, sequence=seq("D_C,B_A"), m=6))
+    assert other.order == adm.induce_tree(spec).order
+    with pytest.raises(ValueError, match="not produced by this spec"):
+        adm.witness_schedule(spec, other)
+
+
+def _count_signatures(monkeypatch):
+    calls = []
+    real = adm.signature
+
+    def counted(topology, sequence):
+        calls.append(1)
+        return real(topology, sequence)
+
+    monkeypatch.setattr(adm, "signature", counted)
+    return calls
+
+
+def test_extremal_witness_reuses_the_plan(rng, monkeypatch):
+    calls = _count_signatures(monkeypatch)
+    cases = 0
+    while cases < 60:
+        topo = random_topology(rng, 6)
+        k = len(topo.branch_vertices)
+        if k < 4:
+            continue
+        for m in range(k + 1, k + 4):
+            res = find_extremal(topo, m)
+            del calls[:]
+            spec = InducedSpec(topology=topo, sequence=res.sequence, m=m)
+            sched = adm.witness_schedule(spec)
+            assert calls == []  # the winner's plan, not a new one
+            assert len(sched.sources) == m
+            assert verify_schedule(res.tree, sched).is_burning_sequence
+            assert adm.witness_schedule(spec, res.tree) == sched
+            cases += 1
+
+
+def test_plan_memo_has_no_stale_hit(rng, monkeypatch):
+    calls = _count_signatures(monkeypatch)
+    s = seq("A_B,C_D")
+    spec = InducedSpec(topology=CHAIN, sequence=s, m=6)
+    plan = adm.induced_plan(spec)
+    del calls[:]
+    assert adm.induced_plan(InducedSpec(topology=CHAIN, sequence=s, m=6)) is plan
+    assert calls == []
+    twin = make_chain_topology(3, 3, 3, 3)[0]  # the same edges, another object
+    placement = _random_placement(rng, CHAIN, s, 6)
+    others = [
+        (InducedSpec(topology=CHAIN, sequence=s, m=7), CHAIN),
+        (InducedSpec(topology=CHAIN, sequence=s, m=6, placement=placement), CHAIN),
+        (InducedSpec(topology=twin, sequence=s, m=6), twin),
+        (InducedSpec(topology=CHAIN, sequence=seq("D_C,B_A"), m=6), CHAIN),
+    ]
+    for other, topo in others:
+        del calls[:]
+        got = adm.induced_plan(other)
+        assert calls == [1]  # a miss: the sequence is validated again
+        assert got.order == adm.induced_order(topo, other.sequence, other.m)
+        adm._last_plan = None
+        assert adm.induced_plan(other) == got
+        adm.induced_plan(spec)
+    assert adm.induced_plan(spec) == plan
+
+
+def test_invalid_spec_raises_after_a_valid_one():
+    s = seq("A_B,C_D")
+    rounds = adm.stage2_additions(s, 6).rounds
+    bad = [
+        (InducedSpec(topology=CHAIN, sequence=seq("A_C,B_D"), m=6), "not connected"),
+        (InducedSpec(topology=CHAIN, sequence=s, m=3), "maximum signature"),
+        (
+            InducedSpec(
+                topology=CHAIN, sequence=s, m=6,
+                placement=tuple((i, ("arm", (0, 99))) for i in rounds),
+            ),
+            "no arm",
+        ),
+    ]
+    valid = InducedSpec(topology=CHAIN, sequence=s, m=6)
+    for spec, message in bad:
+        plan = adm.induced_plan(valid)
+        with pytest.raises(ValueError, match=message):
+            adm.induced_plan(spec)
+        with pytest.raises(ValueError, match=message):
+            adm.witness_schedule(spec)
+        assert adm.induced_plan(valid) is plan
+
+
+def test_block_table_built_once_per_labelled_skeleton(monkeypatch):
+    builds = []
+    real = adm._BlockTable.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(adm._BlockTable, "__init__", counted)
+    adm._block_table.cache_clear()
+    adm._best_at_m0.cache_clear()
+    for degrees in itertools.product(range(3, 6), repeat=4):
+        for make in (make_chain_topology, make_tshape_topology):
+            topo = make(*degrees)[0]
+            for m in (5, 6):
+                find_extremal(topo, m)
+    # every chain shares one labelled skeleton, every T-shape another
+    assert len(builds) == 2
+    assert adm._best_at_m0.cache_info().misses == 2 * 3 ** 4
+    assert adm.enumerate_canonical(CHAIN, 4)
+    assert adm.enumerate_canonical(TSHAPE, 4)
+    assert len(builds) == 2
+
+
+def test_block_table_memo_is_bounded():
+    bound = adm._TABLE_MEMO
+    adm._block_table.cache_clear()
+    for h in range(bound + 20):
+        # one branch vertex of id h: a skeleton of its own per h
+        topo = Topology(Tree([(h, h + i) for i in range(1, 4)]))
+        order, _, _ = adm.best_canonical(topo, 2)
+        assert order == 5  # n(m-1) + 1 + (m-1)^2 with n = 3, m = 2
+        assert adm._block_table.cache_info().currsize <= bound
+    assert adm._block_table.cache_info().currsize == bound
 
 
 def test_induced_tree_burning_number_is_m():

@@ -1,10 +1,12 @@
 """The benchmark harness runs end to end and every answer it times is right.
 
 One short untraced run per workload whose instances go through
-`burning_number` or `find_extremal`.  Outside its timed region the harness
-checks each answer against a known one and with an independent schedule
-checker; on adm-search, each four-branch answer against the closed-form
-table winner, which the harness computes without treeburn.
+`burning_number` or `find_extremal`, and one traced adm-search run, whose
+traced pass also runs the brute-force and canonical enumerations.  Outside
+its timed region the harness checks each answer against a known one and
+with an independent schedule checker; on adm-search, each four-branch
+answer against the closed-form table winner, which the harness computes
+without treeburn.
 """
 
 import json
@@ -17,10 +19,7 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize(
-    "workload", ["chain-sweep", "spider-tight", "path-scale", "adm-search"]
-)
-def test_bench_workload_is_correct(workload):
+def _run_is_correct(workload, trace):
     proc = subprocess.run(
         [
             sys.executable,
@@ -32,7 +31,7 @@ def test_bench_workload_is_correct(workload):
             "--seconds",
             "1",
             "--trace",
-            "0",
+            trace,
         ],
         capture_output=True,
         text=True,
@@ -44,3 +43,15 @@ def test_bench_workload_is_correct(workload):
     assert report["correct"] is True, proc.stderr
     assert report["failed"] == 0, proc.stderr
     assert report["attempted"] > 0
+
+
+@pytest.mark.parametrize(
+    "workload", ["chain-sweep", "spider-tight", "path-scale", "adm-search"]
+)
+def test_bench_workload_is_correct(workload):
+    _run_is_correct(workload, "0")
+
+
+def test_bench_traced_adm_search_is_correct():
+    # the traced pass also runs the brute-force and canonical enumerations
+    _run_is_correct("adm-search", "1")

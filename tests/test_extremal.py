@@ -213,7 +213,7 @@ def test_memo_keeps_skeletons_apart():
         (CHAIN, _relabelled(CHAIN, {0: 2, 2: 0})),
     ]
     for first, second in pairs:
-        assert adm._skeleton(first) != adm._skeleton(second)
+        assert first.skeleton() != second.skeleton()
         adm._best_at_m0.cache_clear()
         fresh = _answer(second, 6)
         adm._best_at_m0.cache_clear()

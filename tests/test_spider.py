@@ -1,6 +1,15 @@
+import random
+
 import pytest
 
-from treeburn.burning import _partitions, burning_number, is_m_burnable, verify_schedule
+from treeburn import burning, spider
+from treeburn.burning import (
+    _cover_suffixes,
+    _partitions,
+    burning_number,
+    is_m_burnable,
+    verify_schedule,
+)
 from treeburn.spider import (
     SpiderProfile,
     balanced_extremal_spider,
@@ -104,3 +113,51 @@ def test_witness_schedule_rejects_infeasible():
     with pytest.raises(ValueError):
         # all mass on one leg cannot tile
         witness_schedule(SpiderProfile(arm_lengths=(1, 1, 26)), 5)
+
+
+def _reference_witness(profile, m):
+    """The head-first sources with the legs walked on the built tree, or
+    None where no head-first schedule exists."""
+    head, legs = burning._legs(profile.tree())
+    cover = _cover_suffixes(legs, [m - 1] * len(legs), range(m - 2, -1, -1))
+    if cover is None or len(cover) != m - 1:
+        return None
+    return (head,) + tuple(c for _, c in sorted(cover, reverse=True))
+
+
+def test_witness_reads_legs_off_the_profile():
+    # the leg ids follow from the arm lengths; the witness is the one the
+    # tree walk gives, and so is every refusal
+    rng = random.Random(35)
+    found = 0
+    for _ in range(400):
+        # an extremal spider: every leg starts with the head ball's m - 1
+        # vertices, and the segments 2(m - i) + 1 of rounds i = 2..m go to
+        # random legs; one vertex moved between legs often spoils the tiling
+        n, m = rng.randint(3, 7), rng.randint(3, 8)
+        lengths = [m - 1] * n
+        for i in range(2, m + 1):
+            lengths[rng.randrange(n)] += 2 * (m - i) + 1
+        if rng.random() < 0.4:
+            a, b = rng.sample(range(n), 2)
+            if lengths[a] > 1:
+                lengths[a] -= 1
+                lengths[b] += 1
+        if rng.random() < 0.5:
+            lengths.sort()
+        profile = SpiderProfile(arm_lengths=tuple(lengths))
+        head, legs = spider._legs(profile)
+        assert (head, [list(leg) for leg in legs]) == burning._legs(profile.tree())
+        want = _reference_witness(profile, m)
+        if want is None:
+            with pytest.raises(ValueError, match="no head-first schedule"):
+                witness_schedule(profile, m)
+        else:
+            found += 1
+            assert witness_schedule(profile, m).sources == want
+    for n in range(3, 8):
+        for m in range(3, 2 * n):
+            profile, sched = min_diameter_witness(n, m)
+            assert sched.sources == _reference_witness(profile, m)
+            found += 1
+    assert found > 200
