@@ -1,12 +1,14 @@
 """Exact burning: schedule verification, m-burnability, burning numbers.
 
-The m-burnability decision runs on the covering form of the problem: a tree is
-m-burnable iff balls of radii m-1, m-2, ..., 0 can cover it.  A covering always
-yields a valid burning sequence by simulating the rounds and re-siting any
-source that is already burned, so the decision is exact.  Every witness
-returned is checked by one simulated burn of the tree (`_burns`), which
-succeeds exactly when the sequence meets the full characterization
-(coverage plus the pairwise distance condition).  Two engines decide
+One round-by-round burn (`_burn`, a `_spread` step per round) answers every
+schedule question in O(n); its docstring proves it exact for the full
+characterization (coverage plus the pairwise distance condition).  It checks
+every witness returned (`_burns`), gives `verify_schedule` its flags, turns a
+covering into a schedule (`_witness_from_cover`) and lists each round's
+candidates in `enumerate_optimal_schedules`.  The m-burnability decision runs
+on the covering form of the problem: a tree is m-burnable iff balls of radii
+m-1, m-2, ..., 0 can cover it, since the burn repairs a covering into a
+burning sequence by re-siting any source already burned.  Two engines decide
 coverage, each with its proof in its docstring.  Trees with at most one
 branch vertex (paths and spiders) go to the segment engine: it tries each
 ball through the head and covers the arm suffixes left over with an exact
@@ -96,75 +98,67 @@ class LnEstimate:
     vacuous: Tuple[int, ...]
 
 
-def _distances(tree: Tree, starts: Sequence[int], radius: int) -> Dict[int, int]:
-    """Distance to the nearest start for every vertex within `radius` of one,
-    by a BFS that stops at that depth."""
-    dist = dict.fromkeys(starts, 0)
-    frontier = list(dist)
-    for d in range(1, radius + 1):
-        nxt = []
-        for u in frontier:
-            for w in tree.neighbors(u):
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return dist
+def _spread(adj, burned: set, fresh: Sequence[int]) -> List[int]:
+    """One round's spread: burn the unburned neighbours of `fresh`, the
+    vertices that first burned last round, and return them."""
+    out = []
+    for v in fresh:
+        for w in adj[v]:
+            if w not in burned:
+                burned.add(w)
+                out.append(w)
+    return out
 
 
-def _balls(tree: Tree, sources: Sequence[int]) -> Iterator[Tuple[Dict[int, int], bool]]:
-    """Per source x_i: N_{m-i}[x_i] with its distances, from one BFS stopped
-    at radius m-i, and whether d(x_i, x_j) >= j-i for every later x_j.  A
-    violation d(x_i, x_j) < j-i <= m-i puts x_j inside x_i's ball, so the
-    ball decides it; a repeated source violates it at distance 0."""
-    m = len(sources)
-    for i, x in enumerate(sources):
-        dist = _distances(tree, [x], m - 1 - i)
-        yield dist, all(dist.get(sources[j], m) >= j - i for j in range(i + 1, m))
-
-
-def _burns(tree: Tree, sources: Sequence[int]) -> bool:
-    """True iff the sources x_1..x_m form a burning sequence of the tree,
-    decided by one simulated burn in O(n), not by a ball search per source.
+def _burn(tree: Tree, sources: Sequence[int]) -> Tuple[set, List[int], List[bool]]:
+    """Simulate the burn of x_1..x_m, sources in the tree: (the burned set
+    after round m, the vertices that first burned in round m, per source
+    whether it was unburned when its round began).  O(n) in all.
 
     Round t spreads the fire one step from every burned vertex and then
     lights x_t.  A vertex v is burned before round t's spread iff
     d(x_i, v) <= t-1-i for some i < t, since x_i's fire has spread t-1-i
     times by then.  So x_t is unburned there iff d(x_i, x_t) >= t-i for
     every i < t, which is the distance condition; a repeated source fails
-    it at distance 0, and a source outside the tree fails at once.  After
-    round m, v is burned iff d(x_i, v) <= m-i for some i, so every vertex is
-    burned iff the N_{m-i}[x_i] cover the tree.  Stops at the first
-    violation.
+    it at distance 0.  A source lit while already burned adds nothing:
+    burned by x_i's fire, it has d(x_i, x_t) <= t-i, so its ball N_{m-t}
+    lies inside x_i's ball N_{m-i}, and t + d(x_t, v) >= i + d(x_i, v) for
+    every v.  So v first burns in round min_i(i + d(x_i, v)), and after
+    round m it is burned iff d(x_i, v) <= m-i for some i: the burned set is
+    the union of the N_{m-i}[x_i], and it is the whole tree iff they cover
+    it.
     """
     adj = tree._adj
-    burned = set()
-    fresh: List[int] = []  # burned in the latest round
+    burned: set = set()
+    fresh: List[int] = []  # first burned in the latest round
+    unburned = []
     for x in sources:
-        if x not in adj or x in burned:
-            return False
-        spread = []
-        for v in fresh:
-            for w in adj[v]:
-                if w not in burned:
-                    burned.add(w)
-                    spread.append(w)
+        unburned.append(x not in burned)
+        fresh = _spread(adj, burned, fresh)
         if x not in burned:
             burned.add(x)
-            spread.append(x)
-        fresh = spread
-    return len(burned) == tree.order
+            fresh.append(x)
+    return burned, fresh, unburned
+
+
+def _burns(tree: Tree, sources: Sequence[int]) -> bool:
+    """True iff the sources x_1..x_m form a burning sequence of the tree:
+    each lies in the tree, each is unburned when its round begins, and every
+    vertex is burned after round m (`_burn`)."""
+    if not all(x in tree for x in sources):
+        return False
+    burned, _, unburned = _burn(tree, sources)
+    return all(unburned) and len(burned) == tree.order
 
 
 def verify_schedule(tree: Tree, schedule: BurningSchedule) -> NeighborhoodCover:
     """Compute the associated neighbourhoods and all flags exactly.
 
-    Every flag reads the balls and distance verdicts of `_balls`.  A leaf
-    burns in round min_i(i + d(x_i, leaf)); a term with the leaf outside
-    x_i's ball exceeds m, so once every vertex is covered the minimum is
-    taken over the balls that hold the leaf.
+    Coverage, the distance condition and leaves-last read one simulated
+    burn (`_burn`): a leaf burns in the last round iff it first burns in
+    round m.  The neighbourhoods are the balls `Tree.ball(x_i, m-i)`; their
+    union is the burned set, so they are pairwise disjoint iff their sizes
+    sum to its size.
     """
     m = schedule.length
     if m == 0:
@@ -176,35 +170,20 @@ def verify_schedule(tree: Tree, schedule: BurningSchedule) -> NeighborhoodCover:
         if x in seen:
             raise ValueError(f"duplicate source {x}")
         seen.add(x)
-    dists, keeps = zip(*_balls(tree, schedule.sources))
-    hoods = tuple(frozenset(d) for d in dists)
-    union = frozenset().union(*hoods)
-    covers_all = len(union) == tree.order
-    disjoint = sum(len(h) for h in hoods) == len(union)
-    # a leaf burns in the last round iff its earliest fire arrives at round m
-    leaves_last = covers_all and all(
-        min(i + d[leaf] for i, d in enumerate(dists, start=1) if leaf in d) == m
-        for leaf in tree.leaves()
-    )
+    burned, last, unburned = _burn(tree, schedule.sources)
+    hoods = tuple(tree.ball(x, m - i) for i, x in enumerate(schedule.sources, start=1))
+    covers_all = len(burned) == tree.order
     branch = set(tree.branch_vertices())
-    prefix = 0
-    if branch:
-        lead = 0
-        covered = set()
-        for i, x in enumerate(schedule.sources, start=1):
-            if x not in branch:
-                break
-            lead = i
-            covered |= hoods[i - 1]
-        if lead and branch <= covered:
-            prefix = lead
+    lead = 0  # sources before the first non-branch one
+    while lead < m and schedule.sources[lead] in branch:
+        lead += 1
     return NeighborhoodCover(
         neighborhoods=hoods,
         covers_all=covers_all,
-        distance_ok=all(keeps),
-        pairwise_disjoint=disjoint,
-        leaves_last=leaves_last,
-        branch_prefix_length=prefix,
+        distance_ok=all(unburned),
+        pairwise_disjoint=sum(map(len, hoods)) == len(burned),
+        leaves_last=covers_all and set(tree.leaves()) <= set(last),
+        branch_prefix_length=lead if lead and branch <= set().union(*hoods[:lead]) else 0,
     )
 
 
@@ -509,25 +488,17 @@ def _witness_from_cover(
 
     If the designated center is already burned when its round arrives, or
     the cover leaves that radius unused, any vertex that keeps the distance
-    condition may be lit instead: the least unburned one when there is one.
+    condition may be lit instead: by `_burn`'s proof, any vertex not burned
+    before that round's spread; the least unburned one when there is one.
     Coverage never depends on that choice: a center burned at round s <= t
-    still burns its whole radius-(k-1-t) ball by round k.  The burned set
-    grows by its frontier.  The condition d(s_j, v) >= t - j for every
-    earlier round j forbids at round t exactly the vertices burned before
-    that round's spread.
+    still burns its whole radius-(k-1-t) ball by round k.
     """
     center_for = {k - 1 - r: c for r, c in cover}  # round index (0-based) -> center
     burned: set = set()
     fresh: List[int] = []  # burned in the current round
     sources: List[int] = []
     for t in range(k):
-        spread = []
-        for v in fresh:
-            for w in tree.neighbors(v):
-                if w not in burned:
-                    burned.add(w)
-                    spread.append(w)
-        fresh = spread
+        fresh = _spread(tree._adj, burned, fresh)
         c = center_for.get(t)
         if c is None or c in burned:
             # vertices burned only by this round's spread still keep the
@@ -681,31 +652,39 @@ def _checked(tree: Tree, sources: Sequence[int]) -> BurningSchedule:
 
 def enumerate_optimal_schedules(tree: Tree) -> Iterator[BurningSchedule]:
     """Every valid burning sequence of length exactly b(tree), in lexicographic
-    order over the source tuples."""
+    order over the source tuples.
+
+    Each prefix is burned round by round with `_spread`.  By `_burn`'s
+    proof, a vertex keeps the distance condition as x_i iff it is unburned
+    when round i begins, so the burned set alone rules candidates out, and
+    the sequence burns the tree iff nothing is left unburned after round k.
+    A prefix is cut when its balls N_{k-j}[x_j] leave more vertices than the
+    largest balls of the remaining radii can hold.
+    """
     k, _ = burning_number(tree)
-    dist = tree.dist
-    verts = tree.vertices
+    adj, verts = tree._adj, tree.vertices
     maxball = [max(len(tree.ball(v, r)) for v in verts) for r in range(k)]
 
-    def rec(placed: Tuple[int, ...], covered: frozenset) -> Iterator[Tuple[int, ...]]:
+    def rec(placed: Tuple[int, ...], burned: set, fresh: List[int], covered: frozenset):
         i = len(placed) + 1
         if i > k:
-            if len(covered) == tree.order:
+            if len(burned) == tree.order:
                 yield placed
             return
         r = k - i
         budget = sum(maxball[:r])  # rounds after this one
+        after = set(burned)
+        spread = _spread(adj, after, fresh)
         for v in verts:
-            if v in placed:
-                continue
-            if any(dist[v][p] < i - j for j, p in enumerate(placed, start=1)):
+            if v in burned:
                 continue
             new_cov = covered | tree.ball(v, r)
             if tree.order - len(new_cov) > budget:
                 continue
-            yield from rec(placed + (v,), new_cov)
+            front = spread if v in after else spread + [v]
+            yield from rec(placed + (v,), after | {v}, front, new_cov)
 
-    for sources in rec((), frozenset()):
+    for sources in rec((), set(), [], frozenset()):
         yield BurningSchedule(sources=sources)
 
 
@@ -741,18 +720,31 @@ def is_maximally_m_burnable(tree: Tree, m: int) -> bool:
     return True
 
 
-def _partitions(total: int, parts: int, cap: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
-    """Non-increasing partitions of `total` into exactly `parts` positive parts."""
-    if parts == 1:
-        if 1 <= total and (cap is None or total <= cap):
-            yield (total,)
+def _partitions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
+    """Non-increasing partitions of `total` into exactly `parts` positive
+    parts, in decreasing lexicographic order.  Iterative,
+    so `parts` is not bounded by the recursion limit: the next partition
+    lowers by one the rightmost part whose successors still fit under the
+    lowered value, then refills them with the largest parts that fit."""
+    if parts < 1 or total < parts:
         return
-    hi = total - (parts - 1)
-    if cap is not None:
-        hi = min(hi, cap)
-    for first in range(hi, 0, -1):
-        for rest in _partitions(total - first, parts - 1, first):
-            yield (first,) + rest
+    a = [0] * parts
+    j, rest, top = 0, total, total
+    while True:
+        for t in range(j, parts):  # a[j:]: the largest parts <= top summing to rest
+            top = a[t] = min(top, rest - (parts - 1 - t))
+            rest -= top
+        yield tuple(a)
+        rest = a[-1]  # sum(a[j:]) as j moves left
+        for j in range(parts - 2, -1, -1):
+            rest += a[j]
+            top = a[j] - 1
+            if rest - top <= (parts - 1 - j) * top:
+                break
+        else:
+            return
+        a[j] = top
+        j, rest = j + 1, rest - top
 
 
 def ln_estimate(n: int, m_range: Sequence[int]) -> LnEstimate:

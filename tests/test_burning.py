@@ -813,7 +813,7 @@ def test_scan_start_from_legs_matches_diameter_formula(rng):
         assert _scan_start(t) <= brute_burning_number(t), t.edges
 
 
-def test_lean_check_agrees_with_verify_schedule(rng):
+def test_lean_check_agrees_with_distance_oracle(rng):
     seen = set()
     for _ in range(400):
         t = random_tree(rng, rng.randint(1, 25))
@@ -826,15 +826,9 @@ def test_lean_check_agrees_with_verify_schedule(rng):
             sources[i] = rng.choice(t.vertices)
         elif kind == "duplicate":
             sources[j] = sources[i]
-        got = burning._burns(t, sources)
-        if len(set(sources)) < len(sources):
-            with pytest.raises(ValueError, match="duplicate"):
-                verify_schedule(t, BurningSchedule(tuple(sources)))
-            flags = oracle_flags(t, sources)
-            want = flags["covers_all"] and flags["distance_ok"]
-        else:
-            want = verify_schedule(t, BurningSchedule(tuple(sources))).is_burning_sequence
-        assert got == want, (t.edges, sources)
+        flags = oracle_flags(t, sources)
+        want = flags["covers_all"] and flags["distance_ok"]
+        assert burning._burns(t, sources) == want, (t.edges, sources)
         seen.add((kind, want))
     assert {(k, w) for k in ("swap", "move") for w in (True, False)} <= seen, seen
     assert ("valid", True) in seen and ("duplicate", False) in seen, seen
@@ -874,6 +868,22 @@ def test_enumerate_optimal_schedules_path():
     assert set(keys) == set(brute)
 
 
+def test_enumerate_optimal_schedules_matches_definitions():
+    # every permutation of b vertices that covers the tree and keeps the
+    # distance condition, in lexicographic order, by the all-pairs oracle
+    rng = random.Random(17)
+    for _ in range(60):
+        t = random_tree(rng, rng.randint(1, 8))
+        b = brute_burning_number(t)
+        want = []
+        for seq in itertools.permutations(sorted(t.vertices), b):
+            flags = oracle_flags(t, seq)
+            if flags["covers_all"] and flags["distance_ok"]:
+                want.append(seq)
+        got = [s.sources for s in enumerate_optimal_schedules(t)]
+        assert got == want, t.edges
+
+
 def test_maximally_burnable_path():
     # path on 9 is maximally 3-burnable; path on 8 is not
     assert is_maximally_m_burnable(make_path(9), 3)
@@ -908,6 +918,18 @@ def test_ln_estimate_certificates():
 def test_ln_estimate_vacuous():
     est = ln_estimate(5, [2])
     assert est.vacuous == (2,)
+
+
+def test_partitions_match_recursive_reference():
+    for total in range(1, 16):
+        for parts in range(1, 8):
+            assert list(burning._partitions(total, parts)) == list(_partitions(total, parts))
+
+
+def test_partitions_many_parts_do_not_recurse():
+    # one level per part would pass the recursion limit
+    first = next(burning._partitions(2404, 1200))
+    assert first == (1205,) + (1,) * 1199
 
 
 def _partitions(total, parts):

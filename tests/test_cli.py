@@ -1,4 +1,6 @@
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -7,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from treeburn import admissible as adm
 from treeburn.cli import run
+from treeburn.topology import make_chain_topology
 
 GOLDEN = Path(__file__).parent / "golden"
 REPO = Path(__file__).resolve().parent.parent
@@ -118,6 +122,22 @@ def test_adm_validate_and_canon(capsys):
     code, out = capture(capsys, ["adm", "canon", "chain3333", "--seq", "A_BC,~,~,D"])
     assert code == 0
     assert "form=A_BCD" in out
+
+
+@pytest.mark.parametrize("action", ["sig", "canon"])
+@pytest.mark.parametrize(
+    "seq, error",
+    [
+        ("A_B,C", "error: not a partition: [3] unassigned"),
+        ("A_BD", "error: block 1 not connected; not a partition: [2] unassigned"),
+    ],
+)
+def test_adm_sig_and_canon_reject_invalid_sequence(capsys, action, seq, error):
+    # the validation inside signature / canonicalize reports the sequence
+    assert run(["adm", action, "chain3333", "--seq", seq]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == error + "\n"
 
 
 def test_adm_induce_outputs_tree(capsys):
@@ -286,6 +306,47 @@ def test_ext_tables_bad_input_prints_nothing(capsys, shape, grid, m_grid, error)
     assert code == 1
     assert captured.out == ""
     assert error in captured.err
+
+
+def readme_cli_examples():
+    """(argv, expected output pattern) for each `$ treeburn ...` line of the
+    README's CLI block that is followed by output; a `...` line stands for
+    any number of output lines."""
+    text = (REPO / "README.md").read_text().split("## CLI", 1)[1]
+    block = text.split("```text\n", 1)[1].split("```", 1)[0]
+    examples = []  # (command line, shown output lines)
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            examples.append((line, []))
+        elif line:
+            examples[-1][1].append(line)
+    out = []
+    for command, shown in examples:
+        if shown:
+            pattern = "".join(
+                r"(?:.*\n)*" if line == "..." else re.escape(line) + r"\n" for line in shown
+            )
+            out.append((shlex.split(command[len("$ treeburn "):], comments=True), pattern))
+    return out
+
+
+README_EXAMPLES = readme_cli_examples()
+
+
+@pytest.mark.parametrize(
+    "argv, pattern", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+)
+def test_readme_cli_example(capsys, argv, pattern):
+    code, out = capture(capsys, argv)
+    assert code == 0
+    assert re.fullmatch(pattern, out), out
+
+
+def test_readme_block_file_example():
+    text = (REPO / "README.md").read_text()
+    example = text.split("```text\n# B_AC,~,D on chain3333\n", 1)[1].split("```", 1)[0]
+    _, labels = make_chain_topology(3, 3, 3, 3)
+    assert adm.parse_block_lines(example) == adm.parse_compact("B_AC,~,D", labels)
 
 
 def declared_console_script(name):
