@@ -208,9 +208,13 @@ class InducedSpec:
 
 
 class InducedPlan(NamedTuple):
-    """Edges and order of the induced tree, and the source of each round."""
+    """The induced tree as vertex paths, its order, and the source of each
+    round.  The paths are the Stage-1 arm paths (each with its pendant
+    Stage-2 segments beyond the tip) and then the internal paths (with
+    their spliced segments): edge-disjoint, every interior vertex on one
+    path only, so `Tree._built(paths)` builds the tree."""
 
-    edges: Tuple[Tuple[int, int], ...]
+    paths: Tuple[Tuple[int, ...], ...]
     order: int
     sources: Tuple[int, ...]
 
@@ -224,7 +228,7 @@ _last_plan: Optional[Tuple[InducedSpec, InducedPlan]] = None
 def induced_plan(
     spec: InducedSpec, sig: Optional[Dict[int, int]] = None
 ) -> InducedPlan:
-    """The induced tree's edges, order and sources.  `sig` is the sequence's
+    """The induced tree's paths, order and sources.  `sig` is the sequence's
     signature when the caller already holds it (the sequence is then taken
     as valid); otherwise it is computed and the sequence validated.
 
@@ -290,11 +294,8 @@ def induced_plan(
         else:
             raise ValueError(f"unknown placement kind {kind!r}")
         sources[i] = seg[m - i]
-    edges = []
-    for path in list(arm_paths.values()) + list(internal_paths.values()):
-        edges.extend(zip(path, path[1:]))
     plan = InducedPlan(
-        edges=tuple(edges),
+        paths=tuple(map(tuple, [*arm_paths.values(), *internal_paths.values()])),
         order=topology.tree.order + s1.total + s2.total,
         sources=tuple(sources[i] for i in range(1, m + 1)),
     )
@@ -305,16 +306,20 @@ def induced_plan(
 def induce_tree(spec: InducedSpec) -> Tree:
     """Concrete tree induced by the sequence at degree m (default or explicit
     Stage-2 placement); its order always equals induced_order."""
-    return Tree._built(induced_plan(spec).edges)
+    return Tree._built(induced_plan(spec).paths)
 
 
 def witness_schedule(spec: InducedSpec, tree: Optional[Tree] = None) -> BurningSchedule:
     """Length-m burning sequence with block roots as the early sources and
     segment centers for the remaining rounds.  Read off the plan; no tree is
-    built.  A given `tree` must have exactly the plan's edges."""
+    built.  A given `tree` must have exactly the edges of the plan's paths."""
     plan = induced_plan(spec)
     if tree is not None and tree.edges != tuple(
-        sorted((u, v) if u < v else (v, u) for u, v in plan.edges)
+        sorted(
+            (u, v) if u < v else (v, u)
+            for path in plan.paths
+            for u, v in zip(path, path[1:])
+        )
     ):
         raise ValueError("tree was not produced by this spec")
     return BurningSchedule(sources=plan.sources)

@@ -503,11 +503,13 @@ def _witness_from_cover(
         if c is None or c in burned:
             # vertices burned only by this round's spread still keep the
             # distance condition; an unburned one exists whenever coverage is
-            # still incomplete
-            pool = [v for v in tree.vertices if v not in burned] or fresh
-            if not pool:
-                raise AssertionError("no admissible source; cover was invalid")
-            c = min(pool)
+            # still incomplete.  `tree.vertices` is sorted, so the first
+            # unburned vertex is the least one.
+            c = next((v for v in tree.vertices if v not in burned), None)
+            if c is None:
+                if not fresh:
+                    raise AssertionError("no admissible source; cover was invalid")
+                c = min(fresh)
         if c not in burned:
             burned.add(c)
             fresh.append(c)
@@ -745,6 +747,22 @@ def _partitions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
             return
         a[j] = top
         j, rest = j + 1, rest - top
+
+
+def _partition_count(total: int, parts: int) -> int:
+    """How many partitions `_partitions(total, parts)` yields, in
+    O(parts * (total - parts)) steps.  Taking one from each part leaves the
+    partitions of total - parts into at most `parts` parts, which by
+    conjugation are those into parts of size at most `parts`; the
+    recurrence adds the part sizes one at a time."""
+    if parts < 1 or total < parts:
+        return 0
+    rest = total - parts
+    ways = [1] + [0] * rest
+    for size in range(1, min(parts, rest) + 1):
+        for j in range(size, rest + 1):
+            ways[j] += ways[j - size]
+    return ways[rest]
 
 
 def ln_estimate(n: int, m_range: Sequence[int]) -> LnEstimate:

@@ -230,7 +230,7 @@ def _cmd_adm_induce(args) -> int:
         raise DomainError("adm induce requires -m")
     spec = InducedSpec(topology=topo, sequence=seq, m=args.m)
     plan = adm.induced_plan(spec)
-    tree = Tree._built(plan.edges)
+    tree = Tree._built(plan.paths)
     print(_emit([("order", str(tree.order))], args.format))
     print(f"burn m={args.m} sources={','.join(map(str, plan.sources))}")
     for u, v in tree.edges:
@@ -327,9 +327,13 @@ def _cmd_spider_balanced(args) -> int:
 
 
 def _cmd_spider_verify(args) -> int:
+    target = spider.min_diameter(args.n, args.m)  # rejects m outside 3..2n-1
+    # the walk's size: every leg-length partition of the extremal order
+    total = spider.extremal_order(args.n, args.m) - 1
+    print(f"partitions {burning._partition_count(total, args.n)}", file=sys.stderr)
     ok = spider.verify_min_diameter(args.n, args.m)
     fields = [
-        ("min_diameter", str(spider.min_diameter(args.n, args.m))),
+        ("min_diameter", str(target)),
         ("confirmed", str(ok).lower()),
     ]
     print(_emit(fields, args.format))

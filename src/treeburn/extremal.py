@@ -118,7 +118,7 @@ def find_extremal(topology: Topology, m: int, verify: bool = False) -> ExtremalR
     rules, so a winner always exists."""
     best_order, winner, sig = adm.best_canonical(topology, m)
     spec = InducedSpec(topology=topology, sequence=winner, m=m)
-    tree = Tree._built(adm.induced_plan(spec, sig).edges)
+    tree = Tree._built(adm.induced_plan(spec, sig).paths)
     b = maximal = None
     if verify:
         b, _ = burning.burning_number(tree)

@@ -193,18 +193,16 @@ def expand(topology: Topology, lengths: LengthAssignment) -> Tree:
         if lengths.internal_lengths.get(e, 0) < 1:
             raise TopologyError(f"missing or zero length for internal path {e}")
     fresh = max(topology.tree.vertices) + 1
-    edges = []
+    chains = []
     for v, leaf in arms:
         k = lengths.arm_lengths[(v, leaf)]
-        chain = [v] + list(range(fresh, fresh + k - 1)) + [leaf]
+        chains.append((v, *range(fresh, fresh + k - 1), leaf))
         fresh += k - 1
-        edges.extend(zip(chain, chain[1:]))
     for u, v in internals:
         k = lengths.internal_lengths[(u, v)]
-        chain = [u] + list(range(fresh, fresh + k - 1)) + [v]
+        chains.append((u, *range(fresh, fresh + k - 1), v))
         fresh += k - 1
-        edges.extend(zip(chain, chain[1:]))
-    return Tree._built(edges)
+    return Tree._built(chains)
 
 
 def make_chain_topology(a: int, b: int, c: int, d: int) -> Tuple[Topology, Dict[str, int]]:

@@ -15,7 +15,9 @@ class Tree:
 
     Vertex ids are nonnegative integers; they need not be contiguous (parsed
     files keep the ids that appear in the document).  Instances are immutable
-    after construction and safe to share.
+    after construction and safe to share.  A tree holds its vertices and each
+    vertex's neighbours; the sorted edge tuple `edges` is derived from them
+    on first read and kept, like the distance table and the canonical form.
     """
 
     def __init__(self, edges: Iterable[Tuple[int, int]], vertices: Iterable[int] = ()):
@@ -40,7 +42,13 @@ class Tree:
             raise TreeError(
                 f"disconnected: {len(vs)} vertices but {len(edge_set)} edges"
             )
-        self._fill(sorted(edge_set), {v: [] for v in vs})
+        nbrs: Dict[int, List[int]] = {v: [] for v in vs}
+        # in sorted edge order every vertex meets its neighbours in increasing
+        # order: (u, v) with u < v comes before every (v, w)
+        for u, v in sorted(edge_set):
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        self._fill({v: tuple(ws) for v, ws in nbrs.items()})
         # connectivity (together with |E| = |V| - 1 this rules out cycles)
         adj = self._adj
         root = self.vertices[0]
@@ -55,35 +63,55 @@ class Tree:
             raise TreeError("disconnected")
 
     @classmethod
-    def _built(cls, edges: Iterable[Tuple[int, int]]) -> "Tree":
-        """The tree on `edges`, with none of the constructor's checks.
+    def _built(cls, paths: Iterable[Sequence[int]]) -> "Tree":
+        """The tree that is the union of the vertex `paths`, with none of the
+        constructor's checks.
 
-        The caller guarantees that the edges form a tree with at least one
-        edge: no self-loop, no edge twice in either orientation, and
-        connected with one vertex more than edges.  Builders whose edge
-        lists are trees by construction use it; parsed or user-given edges
-        go through `Tree(...)`.
+        The caller guarantees that each path has at least 2 vertices, that
+        no edge lies on two paths, that a vertex interior to one path lies
+        on no other path, and that the union of the paths is a tree.  A
+        single edge is the 2-vertex path (u, v).  An interior vertex then
+        has exactly its two path neighbours; an endpoint collects one
+        neighbour from each path it ends.  Builders whose paths form a tree
+        by construction use it; parsed or user-given edges go through
+        `Tree(...)`.
         """
+        paths = list(paths)
+        adj: Dict[int, Tuple[int, ...]] = {
+            v: (u, w) if u < w else (w, u)
+            for p in paths
+            for u, v, w in zip(p, p[1:], p[2:])
+        }
+        ends: Dict[int, List[int]] = defaultdict(list)
+        for p in paths:
+            ends[p[0]].append(p[1])
+            ends[p[-1]].append(p[-2])
+        for v, ws in ends.items():
+            ws.sort()
+            adj[v] = tuple(ws)
         tree = cls.__new__(cls)
-        tree._fill(sorted((u, v) if u < v else (v, u) for u, v in edges), defaultdict(list))
+        tree._fill(adj)
         return tree
 
-    def _fill(
-        self, sorted_edges: List[Tuple[int, int]], adj: Dict[int, List[int]]
-    ) -> None:
-        """Set every field from the sorted (u < v) edges and `adj`, which
-        holds an empty neighbour list per vertex or makes one on first use."""
-        # in sorted edge order every vertex meets its neighbours in increasing
-        # order: (u, v) with u < v comes before every (v, w)
-        for u, v in sorted_edges:
-            adj[u].append(v)
-            adj[v].append(u)
+    def _fill(self, adj: Dict[int, Tuple[int, ...]]) -> None:
+        """Set every field from `adj`, which maps each vertex to its
+        neighbours as an increasing tuple; the caches start empty."""
         self.vertices: Tuple[int, ...] = tuple(sorted(adj))
-        self.edges: Tuple[Tuple[int, int], ...] = tuple(sorted_edges)
-        self._adj: Dict[int, Tuple[int, ...]] = {v: tuple(ws) for v, ws in adj.items()}
+        self._adj: Dict[int, Tuple[int, ...]] = adj
+        self._edges: Tuple[Tuple[int, int], ...] | None = None
         self._dist: Dict[int, Dict[int, int]] | None = None
         self._branch: Tuple[int, ...] | None = None
         self._form: Tuple[str, Tuple[int, ...], Tuple[int, ...]] | None = None
+
+    @property
+    def edges(self) -> Tuple[Tuple[int, int], ...]:
+        """The edges (v, w) with v < w in increasing order, derived from the
+        neighbour tuples on first read and kept."""
+        if self._edges is None:
+            adj = self._adj
+            # v ascending, and w ascending within adj[v]: already sorted
+            self._edges = tuple((v, w) for v in self.vertices for w in adj[v] if w > v)
+        return self._edges
 
     @property
     def order(self) -> int:
@@ -177,7 +205,7 @@ def make_path(n: int) -> Tree:
         raise TreeError("path needs at least one vertex")
     if n == 1:
         return Tree([], vertices=[0])
-    return Tree._built([(i, i + 1) for i in range(n - 1)])
+    return Tree._built([range(n)])
 
 
 def make_spider(arm_lengths: Sequence[int]) -> Tree:
@@ -186,15 +214,12 @@ def make_spider(arm_lengths: Sequence[int]) -> Tree:
         raise TreeError("a spider needs at least 3 arms")
     if any(l < 1 for l in arm_lengths):
         raise TreeError("arm lengths must be positive")
-    edges = []
+    legs = []
     nxt = 1
     for length in arm_lengths:
-        prev = 0
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return Tree._built(edges)
+        legs.append((0, *range(nxt, nxt + length)))
+        nxt += length
+    return Tree._built(legs)
 
 
 def make_star(n_leaves: int) -> Tree:
@@ -251,9 +276,9 @@ def subdivide_edge(tree: Tree, u: int, v: int) -> Tree:
         raise TreeError(f"no edge {u} {v}")
     key = (u, v) if u < v else (v, u)
     fresh = max(tree.vertices) + 1
-    edges = [e for e in tree.edges if e != key]
-    edges.extend([(u, fresh), (fresh, v)])
-    return Tree._built(edges)
+    paths: List[Sequence[int]] = [e for e in tree.edges if e != key]
+    paths.append((u, fresh, v))
+    return Tree._built(paths)
 
 
 def _centroid(tree: Tree) -> Tuple[int, ...]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +120,22 @@ def test_induced_tree_order_and_witness():
         assert len(sched.sources) == m
 
 
+def test_induced_tree_with_internal_placement_matches_recorded_edges():
+    # two Stage-2 segments spliced into the B-C path, two pendant on arms;
+    # the edges, in order, as recorded when plans still held edge lists
+    placement = (
+        (3, ("internal", (1, 2))),
+        (4, ("arm", (0, 4))),
+        (5, ("internal", (1, 2))),
+        (6, ("arm", (3, 9))),
+    )
+    spec = InducedSpec(topology=CHAIN, sequence=seq("A_B,C_D"), m=6, placement=placement)
+    tree = adm.induce_tree(spec)
+    want = (Path(__file__).parent / "golden" / "induce_chain3333_internal.txt").read_text()
+    assert "".join(f"edge {u} {v}\n" for u, v in tree.edges) == want
+    assert tree.order == 52
+
+
 def _random_placement(rng, topo, s, m):
     """A Stage-2 placement of every required round on a random arm or on a
     random internal path longer than one edge."""
@@ -139,7 +156,7 @@ def test_witness_schedule_reads_the_plan(rng, monkeypatch):
         placement = _random_placement(rng, topo, s, m) if rng.random() < 0.5 else None
         spec = InducedSpec(topology=topo, sequence=s, m=m, placement=placement)
         plan = adm.induced_plan(spec)
-        tree = Tree(plan.edges)
+        tree = Tree([e for path in plan.paths for e in zip(path, path[1:])])
         assert tree.order == plan.order == adm.induced_order(topo, s, m)
         sched = adm.witness_schedule(spec, tree)
         assert sched.sources == plan.sources and len(sched.sources) == m

@@ -932,6 +932,13 @@ def test_partitions_many_parts_do_not_recurse():
     assert first == (1205,) + (1,) * 1199
 
 
+def test_partition_count_matches_the_walk():
+    for total in range(0, 25):
+        for parts in range(0, 12):
+            want = sum(1 for _ in burning._partitions(total, parts))
+            assert burning._partition_count(total, parts) == want, (total, parts)
+
+
 def _partitions(total, parts):
     if parts == 1:
         yield (total,)

@@ -149,6 +149,13 @@ def test_adm_induce_outputs_tree(capsys):
     assert lines[0] == "order=19"
     assert lines[1].startswith("burn m=4 sources=")
     assert sum(1 for l in lines if l.startswith("edge ")) == 18
+    # the edge lines, in order, as recorded when plans still held edge lists
+    assert out == (GOLDEN / "adm_induce_star3.txt").read_text()
+    code, out = capture(
+        capsys, ["adm", "induce", "chain3333", "--seq", "B_AC,D", "-m", "6"]
+    )
+    assert code == 0
+    assert out == (GOLDEN / "adm_induce_chain3333.txt").read_text()
 
 
 def test_ext_search(capsys):
@@ -218,6 +225,15 @@ def test_spider_verify_min_diameter(capsys):
     code, out = capture(capsys, ["spider", "verify-min-diameter", "-n", "3", "-m", "3"])
     assert code == 0
     assert "confirmed=true" in out
+
+
+def test_spider_verify_min_diameter_reports_the_walk_size(capsys):
+    code = run(["spider", "verify-min-diameter", "-n", "3", "-m", "4"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == "min_diameter=14 confirmed=true\n"
+    # the 27 partitions of 18 (extremal order 19, less the head) into 3 legs
+    assert captured.err == "partitions 27\n"
 
 
 def test_tsv_format(capsys):

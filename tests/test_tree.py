@@ -300,22 +300,27 @@ def test_neighbors_are_kept_sorted_tuples():
 
 
 @pytest.fixture
-def built_edges(monkeypatch):
-    """Every edge list handed to `Tree._built`, in call order."""
+def built_paths(monkeypatch):
+    """Every list of paths handed to `Tree._built`, in call order."""
     calls = []
     build = Tree._built.__func__
 
-    def record(cls, edges):
-        calls.append(list(edges))
+    def record(cls, paths):
+        calls.append([tuple(p) for p in paths])
         return build(cls, calls[-1])
 
     monkeypatch.setattr(Tree, "_built", classmethod(record))
     return calls
 
 
-def assert_same_as_checked(tree, edges):
-    """`tree` equals what the checking constructor builds from `edges`."""
-    checked = Tree(edges)
+def path_edges(paths):
+    return [e for p in paths for e in zip(p, p[1:])]
+
+
+def assert_same_as_checked(tree, paths):
+    """`tree` equals what the checking constructor builds from the edges of
+    `paths`."""
+    checked = Tree(path_edges(paths))
     assert tree.vertices == checked.vertices
     assert tree.edges == checked.edges
     for v in checked.vertices:
@@ -329,7 +334,7 @@ def random_lengths(rng, topo):
     )
 
 
-def test_trusted_builders_match_the_checked_constructor(built_edges):
+def test_trusted_builders_match_the_checked_constructor(built_paths):
     rng = random.Random(15)
     chain, _ = make_chain_topology(3, 3, 3, 3)
     builds = [lambda: expand(chain, random_lengths(rng, chain)) for _ in range(200)]
@@ -354,14 +359,60 @@ def test_trusted_builders_match_the_checked_constructor(built_edges):
             lambda parent=parent: Tree._built((i, parent[i]) for i in range(1, len(parent)))
         )
     for build in builds:
-        calls = len(built_edges)
+        calls = len(built_paths)
         tree = build()
-        assert len(built_edges) == calls + 1
-        assert_same_as_checked(tree, built_edges[-1])
+        assert len(built_paths) == calls + 1
+        assert_same_as_checked(tree, built_paths[-1])
 
 
-def test_parsed_and_given_edges_are_checked(built_edges):
+def test_parsed_and_given_edges_are_checked(built_paths):
     parse_tree("edge 0 1\nedge 1 2\n")
     parse_topology("edge 0 1\nedge 0 2\nedge 0 3\n")
     Tree([(0, 1), (1, 2)])
-    assert built_edges == []
+    assert built_paths == []
+
+
+def random_path_decomposition(rng, tree):
+    """The edges of `tree` cut into vertex paths that meet `Tree._built`'s
+    contract, shuffled and each in a random direction: a degree-2 vertex is
+    either interior to one path or cut (an endpoint of two paths), and
+    every other vertex ends each path through it."""
+    joined = {v for v in tree.vertices if tree.degree(v) == 2 and rng.random() < 0.7}
+    walked = set()
+    paths = []
+    for v in tree.vertices:
+        if v in joined:
+            continue
+        for w in tree.neighbors(v):
+            if (v, w) in walked:
+                continue
+            path = [v, w]
+            while path[-1] in joined:
+                a, b = tree.neighbors(path[-1])
+                path.append(b if a == path[-2] else a)
+            walked.add((path[-1], path[-2]))
+            paths.append(path[::-1] if rng.random() < 0.5 else path)
+    rng.shuffle(paths)
+    return paths
+
+
+def test_built_from_paths_matches_the_checked_constructor():
+    rng = random.Random(18)
+    for _ in range(400):
+        t = relabel(random_tree(rng, rng.randint(2, 40)), rng)
+        paths = random_path_decomposition(rng, t)
+        fresh = max(t.vertices) + 1
+        for p in rng.sample(paths, rng.randint(0, len(paths))):
+            # splice a segment of fresh vertices into the path, as
+            # `induced_plan` does with a Stage-2 segment
+            k = rng.randint(1, 4)
+            pos = rng.randint(1, len(p) - 1)
+            p[pos:pos] = range(fresh, fresh + k)
+            fresh += k
+        built = Tree._built(paths)
+        checked = Tree(path_edges(paths))
+        assert built == checked and hash(built) == hash(checked), paths
+        assert built.edges == checked.edges
+        assert built.branch_vertices() == checked.branch_vertices()
+        for v in checked.vertices:
+            assert built.neighbors(v) == checked.neighbors(v), (paths, v)
