@@ -91,7 +91,13 @@ def validate(topology: Topology, seq: AdmissibleSequence) -> List[str]:
                 )
             else:
                 seen[v] = i
-        if block.vertex_set and not _connected(topology, block.vertex_set):
+        # a member outside the branch vertices is reported above; only a
+        # block of branch vertices is tested for connectivity
+        if (
+            block.vertex_set
+            and block.vertex_set <= branch
+            and not _connected(topology, block.vertex_set)
+        ):
             problems.append(f"block {i} not connected")
     missing = branch - set(seen)
     if missing:
@@ -143,7 +149,6 @@ class Stage1Additions:
 @dataclass(frozen=True)
 class Stage2Additions:
     rounds: Tuple[int, ...]
-    segment_sizes: Tuple[int, ...]
     total: int
 
 
@@ -183,8 +188,7 @@ def stage2_additions(seq: AdmissibleSequence, m: int) -> Stage2Additions:
         for i in range(1, m + 1)
         if i > trimmed.length or trimmed.blocks[i - 1].empty
     )
-    sizes = tuple(2 * (m - i) + 1 for i in rounds)
-    return Stage2Additions(rounds=rounds, segment_sizes=sizes, total=sum(sizes))
+    return Stage2Additions(rounds=rounds, total=sum(2 * (m - i) + 1 for i in rounds))
 
 
 def induced_order(topology: Topology, seq: AdmissibleSequence, m: int) -> int:
@@ -830,25 +834,22 @@ def parse_compact(text: str, labels: Dict[str, int]) -> AdmissibleSequence:
 
 
 def format_compact(
-    seq: AdmissibleSequence,
-    labels: Dict[str, int],
-    topology: Optional[Topology] = None,
+    seq: AdmissibleSequence, labels: Dict[str, int], topology: Topology
 ) -> str:
-    """Inverse of parse_compact.  With a topology, block members are listed by
-    distance from the root (the usual written convention); otherwise by name."""
+    """Inverse of parse_compact.  Block members are listed by distance from
+    the root (the usual written convention), ties by name.  Every vertex of
+    the sequence needs a label; ValueError names those without one."""
     names = {v: k for k, v in labels.items()}
+    unnamed = sorted(v for b in seq.blocks for v in b.vertex_set if v not in names)
+    if unnamed:
+        raise ValueError(f"no label for branch vertices {unnamed}")
     parts = []
     for block in seq.trimmed().blocks:
         if block.empty:
             parts.append("~")
             continue
         members = [v for v in block.vertex_set if v != block.root]
-        if topology is not None:
-            members.sort(
-                key=lambda v: (topology.branch_distance(block.root, v), names[v])
-            )
-        else:
-            members.sort(key=lambda v: names[v])
+        members.sort(key=lambda v: (topology.branch_distance(block.root, v), names[v]))
         others = "".join(names[v] for v in members)
         parts.append(names[block.root] + ("_" + others if others else ""))
     return ",".join(parts)

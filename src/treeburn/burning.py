@@ -91,8 +91,6 @@ class LnEstimate:
     """Per-m minimal shortest-path thresholds guaranteeing burnability of
     n-path forests of order m*m, with counterexamples at threshold - 1."""
 
-    n: int
-    m_range: Tuple[int, ...]
     per_m: Dict[int, int]
     counterexamples: Dict[int, Optional[Tuple[int, ...]]]
     vacuous: Tuple[int, ...]
@@ -794,8 +792,6 @@ def ln_estimate(n: int, m_range: Sequence[int]) -> LnEstimate:
                 p for p in bad if min(p) == threshold - 1
             )
     return LnEstimate(
-        n=n,
-        m_range=tuple(m_range),
         per_m=per_m,
         counterexamples=counterexamples,
         vacuous=tuple(vacuous),

@@ -216,7 +216,6 @@ def _cmd_adm_canon(args) -> int:
 
 def _cmd_adm_order(args) -> int:
     topo, _, seq = _adm_context(args)
-    adm.ensure_valid(topo, seq)
     if args.m is None:
         raise DomainError("adm order requires -m")
     print(_emit([("order", str(adm.induced_order(topo, seq, args.m)))], args.format))
@@ -225,7 +224,6 @@ def _cmd_adm_order(args) -> int:
 
 def _cmd_adm_induce(args) -> int:
     topo, _, seq = _adm_context(args)
-    adm.ensure_valid(topo, seq)
     if args.m is None:
         raise DomainError("adm induce requires -m")
     spec = InducedSpec(topology=topo, sequence=seq, m=args.m)

@@ -26,8 +26,7 @@ from . import burning
 @dataclass(frozen=True)
 class CandidateSet:
     topology: Topology
-    m: Optional[int]
-    candidates: List[Tuple[AdmissibleSequence, Optional[int]]]
+    candidates: List[AdmissibleSequence]
     pruned: List[Tuple[AdmissibleSequence, str]]
 
 
@@ -68,15 +67,15 @@ class TableReport:
 def prune(topology: Topology, seqs: Sequence[AdmissibleSequence]) -> CandidateSet:
     """Drop sequences with an empty block before a nonempty one (rule 2b) and
     sequences with roots of non-consecutive blocks adjacent (rule 2c)."""
-    kept: List[Tuple[AdmissibleSequence, Optional[int]]] = []
+    kept: List[AdmissibleSequence] = []
     pruned: List[Tuple[AdmissibleSequence, str]] = []
     for seq in seqs:
         tag = _prune_tag(topology, seq)
         if tag is None:
-            kept.append((seq, None))
+            kept.append(seq)
         else:
             pruned.append((seq, tag))
-    return CandidateSet(topology=topology, m=None, candidates=kept, pruned=pruned)
+    return CandidateSet(topology=topology, candidates=kept, pruned=pruned)
 
 
 def _prune_tag(topology: Topology, seq: AdmissibleSequence) -> Optional[str]:

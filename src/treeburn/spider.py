@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .tree import Tree, make_spider
+from .tree import Tree, _spider_legs, make_spider
 from .burning import BurningSchedule, is_m_burnable, _cover_suffixes, _partitions
 from . import burning
 
@@ -57,14 +57,9 @@ def extremal_order(n: int, m: int) -> int:
 
 def _legs(profile: SpiderProfile) -> Tuple[int, List[range]]:
     """`burning._legs` of `profile.tree()`, read off the arm lengths:
-    `make_spider` gives the head id 0 and numbers the leg vertices arm by
-    arm from 1, each from the head out."""
-    legs = []
-    start = 1
-    for length in profile.arm_lengths:
-        legs.append(range(start, start + length))
-        start += length
-    return 0, legs
+    `make_spider` gives the head id 0 and numbers the legs by
+    `tree._spider_legs`."""
+    return 0, _spider_legs(profile.arm_lengths)
 
 
 def witness_schedule(profile: SpiderProfile, m: int) -> BurningSchedule:

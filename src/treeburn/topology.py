@@ -36,9 +36,9 @@ class Topology:
         self.leaves = frozenset(tree.leaves())
         self._branch_nbrs = {
             v: tuple(w for w in tree.neighbors(v) if w in self.branch_vertices)
-            for v in tree.vertices
+            for v in branch
         }
-        self._branch_dist: Dict[int, Dict[int, int]] | None = None
+        self._branch_dist: Dict[int, Dict[int, int]] = {}
         self._skeleton: Tuple[tuple, tuple, tuple] | None = None
         self._arms = tuple(
             sorted(
@@ -65,28 +65,19 @@ class Topology:
         return list(self._internal_edges)
 
     def branch_neighbors(self, v: int) -> Tuple[int, ...]:
+        """The branch vertices adjacent to the branch vertex v."""
         return self._branch_nbrs[v]
 
     def branch_distance(self, u: int, v: int) -> int:
-        """Distance between branch vertices u and v, read from a k x k table
-        that one BFS per branch vertex over the (connected) branch skeleton
-        builds on first use."""
-        if self._branch_dist is None:
-            table = {}
-            for s in self.branch_vertices:
-                dist = {s: 0}
-                frontier = [s]
-                while frontier:
-                    nxt = []
-                    for x in frontier:
-                        for w in self.branch_neighbors(x):
-                            if w not in dist:
-                                dist[w] = dist[x] + 1
-                                nxt.append(w)
-                    frontier = nxt
-                table[s] = dist
-            self._branch_dist = table
-        return self._branch_dist[u][v]
+        """Distance between branch vertices u and v, read from the tree's
+        `distances_from(u)`, kept per source u on first use.  It is also
+        their distance in the branch skeleton: with no degree-2 vertex,
+        every interior vertex of a path between two branch vertices is a
+        branch vertex."""
+        dist = self._branch_dist.get(u)
+        if dist is None:
+            dist = self._branch_dist[u] = self.tree.distances_from(u)
+        return dist[v]
 
     def skeleton(self) -> Tuple[tuple, tuple, tuple]:
         """Sorted branch ids, sorted skeleton edges (u < w) and each branch

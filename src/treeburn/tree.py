@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from itertools import accumulate
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 
@@ -50,16 +51,7 @@ class Tree:
             nbrs[v].append(u)
         self._fill({v: tuple(ws) for v, ws in nbrs.items()})
         # connectivity (together with |E| = |V| - 1 this rules out cycles)
-        adj = self._adj
-        root = self.vertices[0]
-        seen = {root}
-        stack = [root]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(vs):
+        if len(self.distances_from(self.vertices[0])) != len(vs):
             raise TreeError("disconnected")
 
     @classmethod
@@ -208,18 +200,21 @@ def make_path(n: int) -> Tree:
     return Tree._built([range(n)])
 
 
+def _spider_legs(arm_lengths: Sequence[int]) -> List[range]:
+    """The leg vertices of `make_spider(arm_lengths)`, each leg from the head
+    out: ids 1, 2, ... are numbered arm by arm."""
+    starts = accumulate(arm_lengths, initial=1)
+    return [range(s, s + length) for s, length in zip(starts, arm_lengths)]
+
+
 def make_spider(arm_lengths: Sequence[int]) -> Tree:
-    """Spider with head 0 and the given arm lengths, ids assigned arm by arm."""
+    """Spider with head 0 and the given arm lengths; its legs are
+    `_spider_legs(arm_lengths)`."""
     if len(arm_lengths) < 3:
         raise TreeError("a spider needs at least 3 arms")
     if any(l < 1 for l in arm_lengths):
         raise TreeError("arm lengths must be positive")
-    legs = []
-    nxt = 1
-    for length in arm_lengths:
-        legs.append((0, *range(nxt, nxt + length)))
-        nxt += length
-    return Tree._built(legs)
+    return Tree._built([(0, *leg) for leg in _spider_legs(arm_lengths)])
 
 
 def make_star(n_leaves: int) -> Tree:

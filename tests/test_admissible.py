@@ -335,6 +335,19 @@ def test_block_table_built_once_per_labelled_skeleton(monkeypatch):
     assert len(builds) == 2
 
 
+def test_block_table_distances_match_branch_distance():
+    # the two distance tables are computed apart; each checks the other
+    rng = random.Random(19)
+    for _ in range(60):
+        topo = random_topology(rng, 7)
+        branch, skeleton, _ = topo.skeleton()
+        table = adm._block_table(branch, skeleton)
+        for entries in table.placements.values():
+            for p in entries:
+                for i, d in p.offsets:
+                    assert d == topo.branch_distance(branch[p.root], branch[i])
+
+
 def test_block_table_memo_is_bounded():
     bound = adm._TABLE_MEMO
     adm._block_table.cache_clear()

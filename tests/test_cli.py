@@ -140,6 +140,50 @@ def test_adm_sig_and_canon_reject_invalid_sequence(capsys, action, seq, error):
     assert captured.err == error + "\n"
 
 
+@pytest.mark.parametrize("action", ["order", "induce"])
+def test_adm_order_and_induce_reject_invalid_sequence(capsys, action):
+    # one validation, inside induced_order / induced_plan
+    assert run(["adm", action, "chain3333", "--seq", "A_BD", "-m", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: block 1 not connected; not a partition: [2] unassigned\n"
+    )
+    # without -m, that is reported before the sequence is validated
+    assert run(["adm", action, "chain3333", "--seq", "A_BD"]) == 1
+    assert capsys.readouterr().err == f"error: adm {action} requires -m\n"
+
+
+@pytest.mark.parametrize("action", ["validate", "sig", "canon", "order", "induce"])
+def test_adm_block_file_with_unknown_vertex_is_reported(tmp_path, capsys, action):
+    # vertex 99 is not in the topology at all, not only not a branch vertex
+    f = tmp_path / "seq.txt"
+    f.write_text("block 1 root 99 members 99\n")
+    assert run(["adm", action, "chain3333", "--seq", str(f), "-m", "6"]) == 1
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert any(
+        l.startswith(("invalid:", "error:")) and "vertex 99 " in l for l in lines
+    ), lines
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ext", "search", "TOPO", "-m", "4"], ["adm", "canon", "TOPO", "--seq", "SEQ"]],
+    ids=["ext-search", "adm-canon"],
+)
+def test_unlabelled_branch_vertex_is_an_error_when_printing(tmp_path, capsys, argv):
+    topo = tmp_path / "topo.txt"
+    topo.write_text("edge 0 1\nedge 0 2\nedge 0 3\nedge 1 4\nedge 1 5\n")
+    blocks = tmp_path / "seq.txt"
+    blocks.write_text("block 1 root 0 members 0,1\n")
+    argv = [{"TOPO": str(topo), "SEQ": str(blocks)}.get(a, a) for a in argv]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no label for branch vertices [0, 1]\n"
+
+
 def test_adm_induce_outputs_tree(capsys):
     code, out = capture(
         capsys, ["adm", "induce", "star3", "--seq", "H", "-m", "4"]

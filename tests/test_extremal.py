@@ -63,7 +63,7 @@ def test_chain_survivors_are_the_known_six():
     # the six listed sequences all survive pruning
     surviving = {
         frozenset((b.root, b.vertex_set) for b in s.trimmed().blocks)
-        for s, _ in kept
+        for s in kept
     }
     assert known <= surviving
 
@@ -95,7 +95,7 @@ def test_find_extremal_matches_brute_force(canonical_oracle):
         for m in range(k + 1, k + 4):
             scored = [
                 (adm.induced_order(topo, s, m), s)
-                for s, _ in kept
+                for s in kept
                 if max(adm.signature(topo, s).values()) < m
             ]
             best = max(order for order, _ in scored)
