@@ -259,10 +259,17 @@ def _forest_groups(
 
 
 def path_forest_burnable(forest: PathForest, m: int) -> bool:
-    """True iff the forest is m-burnable (exact radii-to-path assignment)."""
+    """True iff the forest is m-burnable (exact radii-to-path assignment).
+
+    Radii only grow with m, and a forest of N vertices and p paths is
+    N-burnable: each path has at most N - p + 1 vertices, and each of the p
+    largest radii N-1..N-p covers one path, as 2r + 1 >= N - p + 1.  So the
+    answer at m is the answer at min(m, N).
+    """
     if m < 1:
         return False
-    return _forest_groups(forest.path_orders, range(m)) is not None
+    radii = range(min(m, sum(forest.path_orders)))
+    return _forest_groups(forest.path_orders, radii) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -515,34 +522,29 @@ def _witness_from_cover(
     return BurningSchedule(sources=tuple(sources))
 
 
-def is_m_burnable(tree: Tree, m: int, with_witness: bool = False):
+def is_m_burnable(tree: Tree, m: int) -> bool:
     """True iff a valid burning sequence of length <= m exists.
 
-    With ``with_witness=True`` returns ``(bool, schedule-or-None)`` where the
-    witness has length b(tree) <= m: `burning_number`'s scan, stopped at m,
-    so one cover at b answers both, or none when the memo holds the class's
-    witness.
+    Radii only grow with m, so coverage is decided at m itself, capped at
+    the order n: every tree is n-burnable, as a radius-(n-1) ball covers it.
+    No k below the scan start is burnable (`burning_number`'s docstring), so
+    there the answer is no without a cover.  A tree with two or more branch
+    vertices reads its class's memo bracket first and records what it decides.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    if with_witness:
-        found = _scan(tree, m)
-        return (False, None) if found is None else (True, found[1])
-    # radii only grow with m, so deciding coverage at m itself suffices
+    m = min(m, tree.order)
     if len(tree.branch_vertices()) <= 1:
         legs = _legs(tree)
-        # no k below the scan start is burnable (burning_number's docstring)
-        ok = m >= _scan_start(tree, legs) and _cover_segments(legs, m) is not None
-    else:
-        key = canonical_key(tree)
-        lo, hi = _memo.bracket(key)
-        if m <= lo:
-            ok = False
-        elif hi is not None and m >= hi:
-            ok = True
-        else:
-            ok = _cover_general(tree, m) is not None
-            _memo.record(key, m, ok)
+        return m >= _scan_start(tree, legs) and _cover_segments(legs, m) is not None
+    key = canonical_key(tree)
+    lo, hi = _memo.bracket(key)
+    if m <= lo:
+        return False
+    if hi is not None and m >= hi:
+        return True
+    ok = m >= _scan_start(tree) and _cover_general(tree, m) is not None
+    _memo.record(key, m, ok)
     return ok
 
 
@@ -564,7 +566,7 @@ def _scan_start(tree: Tree, legs: Optional[_Legs] = None) -> int:
 
 
 def burning_number(tree: Tree) -> Tuple[int, BurningSchedule]:
-    """Smallest m with a valid burning sequence, plus an optimal witness.
+    """Smallest m with a valid burning sequence, plus a checked optimal witness.
 
     The scan starts at a lower bound on b (`_scan_start`).  Every tree needs
     ceil(sqrt(diam + 1)) rounds: a longest path has diam + 1 vertices, and
@@ -597,49 +599,31 @@ def burning_number(tree: Tree) -> Tuple[int, BurningSchedule]:
     Paths and spiders neither read nor write the memo, and their canonical
     form is never computed.
     """
-    return _scan(tree, None)
-
-
-def _scan(tree: Tree, stop: Optional[int]) -> Optional[Tuple[int, BurningSchedule]]:
-    """`burning_number`'s scan, up to k = stop when stop is given: (b, a
-    verified witness), or None when no k <= stop has a cover.  On trees with
-    two or more branch vertices it reads and records the memo, and searches
-    the canonical tree only for a class the memo holds no witness for."""
     if len(tree.branch_vertices()) <= 1:
         # the path-forest DP keeps the arms' symmetry, which _cover_general's
         # bitmask states lose: 0.11 s against 21 s on 192 tight-spider decisions
         legs = _legs(tree)
-        start = _scan_start(tree, legs)
-        k, ids = _first_cover(tree, start, stop, lambda _, k: _cover_segments(legs, k))
-        return None if ids is None else (k, _checked(tree, ids))
+        k, cover = _first_cover(_scan_start(tree, legs), lambda k: _cover_segments(legs, k))
+        return k, _checked(tree, _witness_from_cover(tree, k, cover).sources)
     key, order, parent = canonical_form(tree)
     ids = _memo.witness(key)
     if ids is None:
         canon = Tree._built((i, parent[i]) for i in range(1, len(parent)))
         start = max(_scan_start(canon), _memo.bracket(key)[0] + 1)
-        k, ids = _first_cover(canon, start, stop, _cover_general)
+        k, cover = _first_cover(start, lambda k: _cover_general(canon, k))
+        ids = _witness_from_cover(canon, k, cover).sources
         # k - 1 is proved not burnable, by the start's bound or by a failed cover
         _memo.record(key, k - 1, False)
-        if ids is None:
-            return None
         _memo.record(key, k, True, ids)
-    elif stop is not None and stop < len(ids):
-        return None
     return len(ids), _checked(tree, [order[i] for i in ids])
 
 
-def _first_cover(
-    tree: Tree, k: int, stop: Optional[int], cover_at
-) -> Tuple[int, Optional[Tuple[int, ...]]]:
-    """(k', sources) for the least k' >= k that `cover_at` covers, up to
-    stop, with the sources of a burning sequence of length k' built from the
-    cover; (stop + 1 or k, None) when no k' <= stop is covered."""
-    cover = None
-    while (stop is None or k <= stop) and (cover := cover_at(tree, k)) is None:
+def _first_cover(k: int, cover_at) -> Tuple[int, List[Tuple[int, int]]]:
+    """(k', cover) for the least k' >= k that `cover_at` covers.  The scan
+    ends by k' = n, where every tree is covered (`is_m_burnable`)."""
+    while (cover := cover_at(k)) is None:
         k += 1
-    if cover is None:
-        return k, None
-    return k, _witness_from_cover(tree, k, cover).sources
+    return k, cover
 
 
 def _checked(tree: Tree, sources: Sequence[int]) -> BurningSchedule:

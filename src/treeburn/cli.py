@@ -119,13 +119,13 @@ def _cmd_burn_check(args) -> int:
 
 def _cmd_burn_burnable(args) -> int:
     tree = _load_tree(args.tree)
-    ok, witness = burning.is_m_burnable(tree, args.m, with_witness=True)
-    if ok:
-        fields = [("m", str(len(witness.sources))), ("sources", _sources_str(witness))]
-        print(_emit_tagged("burn", fields, args.format))
-        return 0
-    print(_emit([("burnable", "false"), ("m", str(args.m))], args.format))
-    return 1
+    if not burning.is_m_burnable(tree, args.m):
+        print(_emit([("burnable", "false"), ("m", str(args.m))], args.format))
+        return 1
+    _, witness = burning.burning_number(tree)
+    fields = [("m", str(len(witness.sources))), ("sources", _sources_str(witness))]
+    print(_emit_tagged("burn", fields, args.format))
+    return 0
 
 
 def _cmd_burn_maximal(args) -> int:

@@ -68,17 +68,15 @@ def witness_schedule(profile: SpiderProfile, m: int) -> BurningSchedule:
     The head burns in round 1 and covers depth m-1 on every leg; the leg
     suffixes past that depth must then be covered, with no radius left over,
     by the balls of radii m-2..0, whose centres burn in rounds 2..m.  The
-    balls tile the tree, so no centre is burned before its own round.
+    balls tile the tree, so no centre is burned before its own round.  The
+    schedule passes the check every `burning_number` witness passes.
     """
     head, arms = _legs(profile)
     cover = _cover_suffixes(arms, [m - 1] * len(arms), range(m - 2, -1, -1))
     if cover is None or len(cover) != m - 1:
         raise ValueError(f"no head-first schedule of length {m} for {profile}")
     rounds = sorted(cover, reverse=True)  # radius m-i burns in round i
-    sched = BurningSchedule(sources=(head,) + tuple(c for _, c in rounds))
-    if not burning._burns(profile.tree(), sched.sources):
-        raise AssertionError(f"internal error: invalid schedule for {profile}")
-    return sched
+    return burning._checked(profile.tree(), (head,) + tuple(c for _, c in rounds))
 
 
 def min_diameter(n: int, m: int) -> int:

@@ -424,45 +424,6 @@ def test_memo_bound_and_eviction(monkeypatch, rng):
         assert len(memo) <= 6
 
 
-def test_witness_option():
-    ok, w = is_m_burnable(make_path(9), 4, with_witness=True)
-    assert ok and w is not None
-    ok, w = is_m_burnable(make_path(9), 2, with_witness=True)
-    assert not ok and w is None
-
-
-def test_witness_option_covers_once(monkeypatch, fresh_memo):
-    # the witness comes from burning_number's scan stopped at m: one cover,
-    # at b, answers both the decision and the witness
-    calls = []
-    engine = burning._cover_segments
-
-    def counted(legs, m):
-        calls.append(m)
-        return engine(legs, m)
-
-    monkeypatch.setattr(burning, "_cover_segments", counted)
-    for t, m, b in ((make_spider([4, 6, 8]), 6, 4), (make_path(1000), 40, 32)):
-        del calls[:]
-        ok, w = is_m_burnable(t, m, with_witness=True)
-        assert ok and len(w.sources) == b and calls == [b]
-        assert verify_schedule(t, w).is_burning_sequence
-    del calls[:]
-    assert is_m_burnable(make_path(1000), 31, with_witness=True) == (False, None)
-    assert calls == []  # 31 is below the scan start, which is b
-    # on other trees the scan records the brackets burning_number records
-    chain, _ = make_chain_topology(3, 3, 3, 3)
-    arms, internals = chain.arms(), chain.internal_edges()
-    v = (4, 5, 6, 7, 4, 5, 3, 2, 2)
-    t = expand(chain, LengthAssignment(dict(zip(arms, v[:6])), dict(zip(internals, v[6:]))))
-    key = canonical_key(t)
-    assert is_m_burnable(t, 5, with_witness=True) == (False, None)
-    assert fresh_memo.bracket(key) == (5, None)
-    ok, w = is_m_burnable(t, 7, with_witness=True)
-    assert ok and len(w.sources) == 6 and verify_schedule(t, w).is_burning_sequence
-    assert fresh_memo.bracket(key) == (5, 6)
-
-
 def chain_trees(v):
     """The order-39 chain(3,3,3,3) trees of length vector v's orbit."""
     chain, _ = make_chain_topology(3, 3, 3, 3)
@@ -532,9 +493,9 @@ def test_stored_witness_answers_at_and_below_b(monkeypatch, fresh_memo):
     b, sched = burning_number(t)
     assert fresh_memo.witness(canonical_key(t)) is not None
     monkeypatch.setattr(burning, "_cover_general", None)  # no search may run
-    assert is_m_burnable(t, b - 1, with_witness=True) == (False, None)
-    assert is_m_burnable(t, b, with_witness=True) == (True, sched)
-    assert is_m_burnable(t, b + 3, with_witness=True) == (True, sched)
+    assert not is_m_burnable(t, b - 1)
+    assert is_m_burnable(t, b) and is_m_burnable(t, b + 3)
+    assert burning_number(t) == (b, sched)
 
 
 def corrupt_stored_witness(tree):
@@ -554,8 +515,6 @@ def test_corrupted_stored_witness_raises(fresh_memo):
     corrupt_stored_witness(t)
     with pytest.raises(AssertionError, match="internal error"):
         burning_number(t)
-    with pytest.raises(AssertionError, match="internal error"):
-        is_m_burnable(t, 7, with_witness=True)
 
 
 def test_corrupted_stored_witness_raises_under_O():
@@ -761,13 +720,16 @@ def test_extremal_plus_one_spider_proof_runs_no_forest_dp(rng, forest_dp_calls):
 
 def test_is_m_burnable_skips_the_cover_below_the_start(monkeypatch, rng):
     calls = []
-    engine = burning._cover_segments
+    engine, general = burning._cover_segments, burning._cover_general
 
     def counted(legs, m):
         calls.append(m)
         return engine(legs, m)
 
     monkeypatch.setattr(burning, "_cover_segments", counted)
+    monkeypatch.setattr(
+        burning, "_cover_general", lambda t, m: calls.append(m) or general(t, m)
+    )
     trees = [make_path(n) for n in (1, 2, 10, 50, 1000)]
     for n in range(3, 7):
         for m in range(3, 8):
@@ -783,6 +745,17 @@ def test_is_m_burnable_skips_the_cover_below_the_start(monkeypatch, rng):
             assert not is_m_burnable(t, k) and calls == [], (t.edges, k)
         del calls[:]
         assert is_m_burnable(t, start) == (b == start) and calls == [start], t.edges
+    # trees with two or more branch vertices pass the same gate after their
+    # memo bracket, so every k below the start is answered with no search
+    for t in branchy_trees(rng, 30, 8, 40):
+        monkeypatch.setattr(burning, "_memo", burning._BracketMemo(burning._MEMO_CLASSES))
+        start = _scan_start(t)
+        for k in range(1, start):
+            del calls[:]
+            assert not is_m_burnable(t, k) and calls == [], (t.edges, k)
+        del calls[:]
+        ok = is_m_burnable(t, start)
+        assert calls == [start] and ok == (burning_number(t)[0] == start), t.edges
 
 
 def reference_scan_start(tree):

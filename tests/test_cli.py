@@ -11,7 +11,7 @@ import pytest
 
 from treeburn import admissible as adm
 from treeburn.cli import run
-from treeburn.topology import make_chain_topology
+from treeburn.topology import LengthAssignment, expand, make_chain_topology
 
 GOLDEN = Path(__file__).parent / "golden"
 REPO = Path(__file__).resolve().parent.parent
@@ -69,6 +69,74 @@ def test_burn_burnable_failure_exit(capsys):
     code, out = capture(capsys, ["burn", "burnable", "path:9", "-m", "2"])
     assert code == 1
     assert "burnable=false" in out
+
+
+def test_burn_burnable_matches_golden(tmp_path, monkeypatch, capsys):
+    # a yes prints burning_number's witness, a no prints m back; the chain
+    # tree is the order-39 chain(3,3,3,3) tree of length vector
+    # (4,5,6,7,4,5,3,2,2), read from an edge file
+    chain, _ = make_chain_topology(3, 3, 3, 3)
+    v = (4, 5, 6, 7, 4, 5, 3, 2, 2)
+    lengths = LengthAssignment(
+        dict(zip(chain.arms(), v[:6])), dict(zip(chain.internal_edges(), v[6:]))
+    )
+    tree = expand(chain, lengths)
+    (tmp_path / "chain.txt").write_text("".join(f"edge {a} {b}\n" for a, b in tree.edges))
+    monkeypatch.chdir(tmp_path)
+    cases = (GOLDEN / "burn_burnable.txt").read_text().split("$ treeburn ")[1:]
+    assert len(cases) == 9
+    for case in cases:
+        argv, rest = case.split("\n", 1)
+        out, code = rest.rsplit("exit ", 1)
+        assert capture(capsys, shlex.split(argv)) == (int(code), out), argv
+
+
+HUGE_M = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from treeburn.burning import is_m_burnable
+from treeburn.cli import run
+from treeburn.tree import Tree, make_path, make_spider
+if sys.argv[1:]:
+    sys.exit(run(sys.argv[1:]))
+trees = [make_path(9), make_spider([2, 3, 4]), Tree([(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])]
+print([is_m_burnable(t, 10**9) for t in trees])
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        ([], 0, "[True, True, True]\n", ""),
+        (
+            ["burn", "maximal", "path:9", "-m", "1000000000"],
+            1,
+            "",
+            "error: tree has burning number 3, not 1000000000\n",
+        ),
+        (
+            ["forest", "burnable", "--paths", "5,3", "-m", "1000000000"],
+            0,
+            "burnable=true m=1000000000\n",
+            "",
+        ),
+        (["burn", "burnable", "path:9", "-m", "1000000000"], 0, "burn m=3 sources=2,6,8\n", ""),
+    ],
+    ids=["is_m_burnable", "burn-maximal", "forest-burnable", "burn-burnable"],
+)
+def test_huge_m_is_capped_at_the_order(argv, code, out, err):
+    # every tree of order n is n-burnable and every forest of N vertices is
+    # N-burnable, so no radii list longer than that is built; the run is
+    # limited to 1 GiB of address space, far below a list of 10**9 radii
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_M] + argv,
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 def test_burn_maximal(capsys):
