@@ -191,11 +191,23 @@ def stage2_additions(seq: AdmissibleSequence, m: int) -> Stage2Additions:
     return Stage2Additions(rounds=rounds, total=sum(2 * (m - i) + 1 for i in rounds))
 
 
+def stage2_total(seq: AdmissibleSequence, m: int) -> int:
+    """`stage2_additions(seq, m).total` in closed form, with no round list.
+
+    With L the trimmed length capped at m, the rounds L+1..m contribute
+    the odd numbers 2(m-i)+1 = 1, 3, ..., 2(m-L)-1, which sum to (m-L)^2;
+    every empty block i <= L adds its own 2(m-i)+1."""
+    blocks = seq.trimmed().blocks[:m]
+    return (m - len(blocks)) ** 2 + sum(
+        2 * (m - i) + 1 for i, block in enumerate(blocks, start=1) if block.empty
+    )
+
+
 def induced_order(topology: Topology, seq: AdmissibleSequence, m: int) -> int:
     return (
         topology.tree.order
         + stage1_additions(topology, seq, m).total
-        + stage2_additions(seq, m).total
+        + stage2_total(seq, m)
     )
 
 

@@ -24,8 +24,8 @@ b is proved, one optimal witness per class in canonical ids.  A stored
 witness is exact for every tree of its class: the canonical labelling is an
 isomorphism, isomorphisms preserve distances, and every mapped witness is
 verified again on the caller's tree.  A class without one is searched on
-its canonical tree, so no witness depends on which isomorphic trees came
-first.  Trees with at most one branch vertex bypass the memo, since the
+its canonical parent array, so no witness depends on which isomorphic trees
+came first.  Trees with at most one branch vertex bypass the memo, since the
 segment engine is cheap and the scan for their burning number starts at b.
 """
 
@@ -41,8 +41,8 @@ from .tree import (
     Tree,
     canonical_form,
     canonical_key,
-    diameter,
     make_path,
+    parent_diameter,
     subdivide_edge,
 )
 from . import topology as topo_mod
@@ -388,54 +388,122 @@ def _cover_segments(legs: _Legs, m: int) -> Optional[List[Tuple[int, int]]]:
     return None
 
 
-def _cover_general(tree: Tree, m: int) -> Optional[List[Tuple[int, int]]]:
+def _cover_general(parent: Sequence[int], m: int) -> Optional[List[Tuple[int, int]]]:
     """Complete covering search for arbitrary trees, branching on radii only.
 
-    Root the tree at a vertex and let u be a deepest uncovered vertex.  Some
-    remaining ball covers u.  If a radius-r ball B covers u, the radius-r ball
-    centred at a, u's ancestor at distance r (the root if u is shallower),
-    covers every uncovered vertex that B covers.  Take an uncovered w in B,
-    with B centred at c; as u is deepest, depth(w) <= depth(u).  If w lies
-    under a, then d(a, w) = depth(w) - depth(a) <= depth(u) - depth(a) <= r.
-    If it does not, then either c lies under a, so its path to w runs through
-    a and d(a, w) <= d(c, w) <= r, or c lies outside a's subtree and
-    d(c, u) = d(c, a) + r <= r forces c = a.  Covering more never hurts, so
-    the search branches only on which remaining radius covers u, and memoizes
-    failed (remaining radii, uncovered set) states.
+    The tree is given as a parent array on ids 0..n-1 with parent[i] < i
+    for i >= 1 and parent[0] = -1 (a `canonical_form`'s third field), and
+    is rooted at 0; the cover is returned as (radius, centre) pairs in
+    those ids.
 
-    Vertices are numbered deepest first, so the lowest set bit of the
-    uncovered mask is a deepest uncovered vertex; ball masks are built on
-    first use.
+    Let u be a deepest uncovered vertex.  Some remaining ball covers u.  If
+    a radius-r ball B covers u, the radius-r ball centred at a, u's ancestor
+    at distance r (the root if u is shallower), covers every uncovered
+    vertex that B covers.  Take an uncovered w in B, with B centred at c; as
+    u is deepest, depth(w) <= depth(u).  If w lies under a, then
+    d(a, w) = depth(w) - depth(a) <= depth(u) - depth(a) <= r.  If it does
+    not, then either c lies under a, so its path to w runs through a and
+    d(a, w) <= d(c, w) <= r, or c lies outside a's subtree and
+    d(c, u) = d(c, a) + r <= r forces c = a.  Covering more never hurts, so
+    the search branches only on which remaining radius covers u, largest
+    first, and memoizes failed (remaining radii, uncovered set) states, the
+    radii as a bit set.  It recurses once per ball placed, so never deeper
+    than m, whatever the radii or the height.  When m - 1 reaches the
+    height, the first ball tried, centred at the root, covers the tree, and
+    that cover is returned at once.
+
+    Vertices are numbered deepest first, ties by id, so the lowest set bit
+    of the uncovered mask is a deepest uncovered vertex.  Ball masks come
+    from two recurrences, with down(a, r) the vertices under a (a included)
+    at most r levels below it:
+
+    - ball(a, r) = down(a, r) | ball(parent(a), r - 1), with ball(., -1)
+      and the root's parent's ball empty.  A vertex w under a is within r
+      of a iff it lies at most r levels below a.  Any other w has its path
+      from a through parent(a), so d(a, w) = 1 + d(parent(a), w); and every
+      vertex within r - 1 of parent(a) is within r of a.  Unrolled, ball(a, r)
+      is the union of down(a_j, r - j) over the ancestors a_j of a at
+      distance j <= r.
+    - down(a, r) = bit(a) | OR of down(c, r - 1) over the children c of a,
+      for r >= 1: a vertex below a lies under exactly one child c, one
+      level deeper than below c.  Its solution is
+      down(a, r) = sub(a) & upto(depth(a) + r), with sub(a) the vertices
+      under a (the same recurrence with no depth cut) and upto(d) the
+      vertices of depth at most d, the bits above those of the vertices
+      deeper than d.
+
+    sub comes from one reverse pass over the array, as every child follows
+    its parent, and upto from one pass over the levels: one mask per vertex
+    and per level.  Each vertex the search meets as u gets a row of m ball
+    masks, each built the first time its radius is tried there.
     """
-    root = tree.vertices[0]
-    depth = tree.distances_from(root)
-    verts = sorted(tree.vertices, key=lambda v: -depth[v])
-    bit = {v: 1 << i for i, v in enumerate(verts)}
-    parent = {w: v for v in verts for w in tree.neighbors(v) if depth[w] > depth[v]}
-    balls: Dict[Tuple[int, int], int] = {}
+    n = len(parent)
+    depth = [0] * n
+    for i in range(1, n):
+        depth[i] = depth[parent[i]] + 1
+    verts = sorted(range(n), key=depth.__getitem__, reverse=True)
+    height = depth[verts[0]]
+    if m > height:
+        return [(m - 1, 0)]
+    bit = [0] * n
+    for pos, v in enumerate(verts):
+        bit[v] = 1 << pos
+    sub = bit[:]
+    for i in range(n - 1, 0, -1):
+        sub[parent[i]] |= sub[i]
+    level = [0] * (height + 1)
+    for d in depth:
+        level[d] += 1
+    full = (1 << n) - 1
+    upto = [0] * (height + 1)
+    deeper = 0  # how many vertices lie deeper than d
+    for d in range(height, -1, -1):
+        upto[d] = full >> deeper << deeper
+        deeper += level[d]
+
+    def ancestor(u: int, r: int) -> int:
+        """u's ancestor at distance r, or the root if u is shallower."""
+        for _ in range(min(r, depth[u])):
+            u = parent[u]
+        return u
+
+    def ball(a: int, r: int) -> int:
+        mask = 0
+        reach = depth[a] + r  # the deepest level down(a_j, r - j) reaches
+        while a >= 0 and r >= 0:
+            mask |= sub[a] & upto[min(reach, height)]
+            a, r, reach = parent[a], r - 1, reach - 2
+        return mask
+
+    # rows[u][r] = ball(ancestor(u, r), r), 0 until built
+    rows: List[Optional[List[int]]] = [None] * n
     failed = set()
 
-    def rec(radii: Tuple[int, ...], uncovered: int) -> Optional[List[Tuple[int, int]]]:
+    def rec(radii: int, uncovered: int) -> Optional[List[Tuple[int, int]]]:
+        """A cover of `uncovered` by balls of the radii r whose bit 1 << r is
+        set in `radii`, or None."""
         if not uncovered:
             return []
-        key = (radii, uncovered)
+        key = uncovered << m | radii
         if not radii or key in failed:
             return None
         u = verts[(uncovered & -uncovered).bit_length() - 1]
-        for idx, r in enumerate(radii):
-            a = u
-            for _ in range(min(r, depth[u])):
-                a = parent[a]
-            mask = balls.get((r, a))
-            if mask is None:
-                mask = balls[(r, a)] = sum(bit[w] for w in tree.ball(a, r))
-            sub = rec(radii[:idx] + radii[idx + 1 :], uncovered & ~mask)
-            if sub is not None:
-                return [(r, a)] + sub
+        row = rows[u]
+        if row is None:
+            row = rows[u] = [0] * m
+        rest = radii
+        while rest:
+            r = rest.bit_length() - 1
+            rest ^= 1 << r
+            mask = row[r] or ball(ancestor(u, r), r)
+            row[r] = mask
+            sub_cover = rec(radii ^ 1 << r, uncovered & ~mask)
+            if sub_cover is not None:
+                return [(r, ancestor(u, r))] + sub_cover
         failed.add(key)
         return None
 
-    return rec(tuple(range(m - 1, -1, -1)), (1 << len(verts)) - 1)
+    return rec((1 << m) - 1, full)
 
 
 # Isomorphism classes whose entries the memo keeps, well above the ~1,100
@@ -529,7 +597,9 @@ def is_m_burnable(tree: Tree, m: int) -> bool:
     the order n: every tree is n-burnable, as a radius-(n-1) ball covers it.
     No k below the scan start is burnable (`burning_number`'s docstring), so
     there the answer is no without a cover.  A tree with two or more branch
-    vertices reads its class's memo bracket first and records what it decides.
+    vertices reads its class's memo bracket first, searches its canonical
+    parent array, the form the memo key comes from, and records what it
+    decides.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -537,13 +607,13 @@ def is_m_burnable(tree: Tree, m: int) -> bool:
     if len(tree.branch_vertices()) <= 1:
         legs = _legs(tree)
         return m >= _scan_start(tree, legs) and _cover_segments(legs, m) is not None
-    key = canonical_key(tree)
+    key, _, parent = canonical_form(tree)
     lo, hi = _memo.bracket(key)
     if m <= lo:
         return False
     if hi is not None and m >= hi:
         return True
-    ok = m >= _scan_start(tree) and _cover_general(tree, m) is not None
+    ok = m >= _scan_start(tree) and _cover_general(parent, m) is not None
     _memo.record(key, m, ok)
     return ok
 
@@ -552,9 +622,10 @@ def _scan_start(tree: Tree, legs: Optional[_Legs] = None) -> int:
     """The lower bound on b(tree) where `burning_number` starts its scan;
     the proof is in that function's docstring.  A path or spider reads it
     off its `legs`, with no BFS: a path of order n has diameter n - 1, and
-    a spider has one leaf per leg and its two longest legs as diameter."""
+    a spider has one leaf per leg and its two longest legs as diameter.
+    Any other tree reads its diameter off its canonical parent array."""
     if len(tree.branch_vertices()) > 1:
-        return math.isqrt(diameter(tree)) + 1
+        return math.isqrt(parent_diameter(canonical_form(tree)[2])) + 1
     head, arms = legs or _legs(tree)
     if head is None:
         return math.isqrt(len(arms[0]) - 1) + 1
@@ -591,11 +662,13 @@ def burning_number(tree: Tree) -> Tuple[int, BurningSchedule]:
     A tree with two or more branch vertices whose class has a stored
     witness gets it mapped through its canonical labelling and verified,
     with no cover search.  Otherwise the scan runs on the class's canonical
-    tree, from past the largest k its bracket records as not burnable.
-    Every k below the start or the first cover found is proved not
-    burnable, so the bracket becomes (b - 1, b) and the witness is stored
-    in canonical ids.  Searching the canonical tree makes the witness a
-    function of the tree alone, whatever the memo held or evicted before.
+    parent array, from past the largest k its bracket records as not
+    burnable, and the cover becomes a witness on the tree that array
+    builds (`Tree._rooted`).  Every k below the start or the first cover
+    found is proved not burnable, so the bracket becomes (b - 1, b) and the
+    witness is stored in canonical ids.  Searching the canonical form makes
+    the witness a function of the tree alone, whatever the memo held or
+    evicted before.
     Paths and spiders neither read nor write the memo, and their canonical
     form is never computed.
     """
@@ -608,10 +681,9 @@ def burning_number(tree: Tree) -> Tuple[int, BurningSchedule]:
     key, order, parent = canonical_form(tree)
     ids = _memo.witness(key)
     if ids is None:
-        canon = Tree._built((i, parent[i]) for i in range(1, len(parent)))
-        start = max(_scan_start(canon), _memo.bracket(key)[0] + 1)
-        k, cover = _first_cover(start, lambda k: _cover_general(canon, k))
-        ids = _witness_from_cover(canon, k, cover).sources
+        start = max(_scan_start(tree), _memo.bracket(key)[0] + 1)
+        k, cover = _first_cover(start, lambda k: _cover_general(parent, k))
+        ids = _witness_from_cover(Tree._rooted(parent), k, cover).sources
         # k - 1 is proved not burnable, by the start's bound or by a failed cover
         _memo.record(key, k - 1, False)
         _memo.record(key, k, True, ids)

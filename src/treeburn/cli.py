@@ -1,7 +1,8 @@
 """Command-line front end: burning, path forests, sequences, tables, spiders.
 
 Exit codes: 0 success, 1 domain error (message names the violated condition),
-2 argument parse error.
+2 argument parse error, 3 resource error (the input needs more memory or a
+deeper recursion than the interpreter has).
 """
 
 from __future__ import annotations
@@ -430,6 +431,10 @@ def run(argv: Optional[List[str]] = None) -> int:
     except (DomainError, TreeError, TopologyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (MemoryError, RecursionError) as exc:
+        what = "out of memory" if isinstance(exc, MemoryError) else "recursion too deep"
+        print(f"error: {what}: the input is too large for this command", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -324,7 +324,7 @@ def verify_tables(
             orders = table[(case.degrees, m)] = {}
             for name, seq in seqs.items():
                 s1 = adm.stage1_additions(topo, seq, m, sigs[name]).total
-                s2 = adm.stage2_additions(seq, m).total
+                s2 = adm.stage2_total(seq, m)
                 orders[name] = topo.tree.order + s1 + s2  # induced_order
                 count = s1 if shape == "chain" else s1 + s2
                 expected = stage_formulas[name](a, b, c, d, m)

@@ -64,9 +64,9 @@ class Tree:
         on no other path, and that the union of the paths is a tree.  A
         single edge is the 2-vertex path (u, v).  An interior vertex then
         has exactly its two path neighbours; an endpoint collects one
-        neighbour from each path it ends.  Builders whose paths form a tree
-        by construction use it; parsed or user-given edges go through
-        `Tree(...)`.
+        neighbour from each path it ends, so the branch vertices are read
+        off the endpoints.  Builders whose paths form a tree by construction
+        use it; parsed or user-given edges go through `Tree(...)`.
         """
         paths = list(paths)
         adj: Dict[int, Tuple[int, ...]] = {
@@ -78,11 +78,33 @@ class Tree:
         for p in paths:
             ends[p[0]].append(p[1])
             ends[p[-1]].append(p[-2])
+        branch = []
         for v, ws in ends.items():
             ws.sort()
             adj[v] = tuple(ws)
+            if len(ws) >= 3:
+                branch.append(v)
         tree = cls.__new__(cls)
         tree._fill(adj)
+        tree._branch = tuple(sorted(branch))
+        return tree
+
+    @classmethod
+    def _rooted(cls, parent: Sequence[int]) -> "Tree":
+        """The tree on ids 0..n-1 with edges (i, parent[i]) for i >= 1, with
+        none of the constructor's checks.
+
+        The caller guarantees parent[i] < i for i >= 1, as a
+        `canonical_form` parent array has; the edges then form a tree.  In
+        one pass each vertex gets its parent and then its children, which
+        arrive in increasing order, all above the parent.
+        """
+        nbrs: List[List[int]] = [[p] for p in parent]
+        nbrs[0] = []
+        for i in range(1, len(parent)):
+            nbrs[parent[i]].append(i)
+        tree = cls.__new__(cls)
+        tree._fill(dict(enumerate(map(tuple, nbrs))))
         return tree
 
     def _fill(self, adj: Dict[int, Tuple[int, ...]]) -> None:
@@ -382,6 +404,28 @@ def canonical_form(tree: Tree) -> Tuple[str, Tuple[int, ...], Tuple[int, ...]]:
                 tuple(ua + [0] + [p + shift for p in ub[1:]]),
             )
     return tree._form
+
+
+def parent_diameter(parent: Sequence[int]) -> int:
+    """The diameter of the tree given by a parent array with
+    parent[i] < i for i >= 1 (a `canonical_form`'s third field), in one
+    reverse pass.
+
+    Every vertex comes after its parent, so in reverse order a vertex's
+    subtree height is final before its parent reads it.  A longest path
+    has a highest vertex v, and runs down from v along at most two child
+    subtrees; when a child of v is read, it joins v's tallest branch seen
+    so far into the longest path through v over the children read.
+    """
+    height = [0] * len(parent)
+    diam = 0
+    for i in range(len(parent) - 1, 0, -1):
+        p, h = parent[i], height[i] + 1
+        if height[p] + h > diam:
+            diam = height[p] + h
+        if h > height[p]:
+            height[p] = h
+    return diam
 
 
 def canonical_key(tree: Tree) -> str:

@@ -26,6 +26,17 @@ def random_tree(rng: random.Random, n: int) -> Tree:
     return Tree(edges)
 
 
+def bicentroid_tree(rng: random.Random, half: int) -> Tree:
+    """Two random trees of order `half` joined by an edge: cutting it leaves
+    two equal halves, so both its ends are centroids."""
+    left, right = random_tree(rng, half), random_tree(rng, half)
+    return Tree(
+        list(left.edges)
+        + [(u + half, v + half) for u, v in right.edges]
+        + [(rng.randrange(half), half + rng.randrange(half))]
+    )
+
+
 def random_topology(rng: random.Random, max_branch: int = 5) -> Topology:
     """Random homeomorphically irreducible tree with <= max_branch branch
     vertices, built from a random branch skeleton plus pendant leaves."""

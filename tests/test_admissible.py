@@ -96,6 +96,15 @@ def test_stage_counts_chain_example():
     assert adm.induced_order(CHAIN, s, 6) == 52
 
 
+def test_stage2_closed_form_matches_round_list():
+    texts = ["A_B,C_D", "A_BCD", "A,~,B_CD", "A_BC,~,~,D", "~,A,~,B,~,C,D", "A,B,C,D,~,~"]
+    for text in texts:
+        s = seq(text)
+        for m in range(1, 51):
+            want = sum(2 * (m - i) + 1 for i in adm.stage2_additions(s, m).rounds)
+            assert adm.stage2_total(s, m) == want, (text, m)
+
+
 def test_stage1_requires_m_above_signature():
     s = seq("A_B,C_D")
     with pytest.raises(ValueError):

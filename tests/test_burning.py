@@ -40,7 +40,7 @@ from treeburn.tree import (
     parse_tree,
 )
 
-from conftest import random_tree
+from conftest import bicentroid_tree, random_tree
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -235,7 +235,8 @@ def test_witness_matches_reference_simulation(rng):
         if len(t.branch_vertices()) <= 1:
             cover = _cover_segments(_legs(t), k)
         else:
-            cover = _cover_general(t, k)
+            _, order, parent = canonical_form(t)
+            cover = [(r, order[c]) for r, c in _cover_general(parent, k)]
         for _ in range(rng.randint(0, 3)):
             if not cover:
                 break
@@ -496,6 +497,76 @@ def test_stored_witness_answers_at_and_below_b(monkeypatch, fresh_memo):
     assert not is_m_burnable(t, b - 1)
     assert is_m_burnable(t, b) and is_m_burnable(t, b + 3)
     assert burning_number(t) == (b, sched)
+
+
+def reference_cover_general(tree, m):
+    """The deepest-uncovered search on a `Tree`, each ball mask from a
+    depth-bounded BFS (`Tree.ball`): rooted at `tree.vertices[0]`, vertices
+    numbered deepest first, the same branching and failed-state memo."""
+    root = tree.vertices[0]
+    depth = tree.distances_from(root)
+    verts = sorted(tree.vertices, key=lambda v: -depth[v])
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    parent = {w: v for v in verts for w in tree.neighbors(v) if depth[w] > depth[v]}
+    balls = {}
+    failed = set()
+
+    def rec(radii, uncovered):
+        if not uncovered:
+            return []
+        key = (radii, uncovered)
+        if not radii or key in failed:
+            return None
+        u = verts[(uncovered & -uncovered).bit_length() - 1]
+        for idx, r in enumerate(radii):
+            a = u
+            for _ in range(min(r, depth[u])):
+                a = parent[a]
+            mask = balls.get((r, a))
+            if mask is None:
+                mask = balls[(r, a)] = sum(bit[w] for w in tree.ball(a, r))
+            sub = rec(radii[:idx] + radii[idx + 1 :], uncovered & ~mask)
+            if sub is not None:
+                return [(r, a)] + sub
+        failed.add(key)
+        return None
+
+    return rec(tuple(range(m - 1, -1, -1)), (1 << len(verts)) - 1)
+
+
+def test_cover_matches_bfs_ball_reference(rng):
+    trees = branchy_trees(rng, 240, 6, 36)
+    while len(trees) < 320:
+        t = bicentroid_tree(rng, rng.randint(3, 16))
+        if len(t.branch_vertices()) >= 2:
+            trees.append(t)
+    bicentroid = 0
+    for t in trees:
+        key, _, parent = canonical_form(t)
+        bicentroid += key.startswith("B")
+        canon = Tree([(i, parent[i]) for i in range(1, len(parent))])
+        b = burning_number(t)[0]
+        for k in (b - 1, b):
+            want = reference_cover_general(canon, k) if k >= 1 else None
+            assert _cover_general(parent, k) == want, (t.edges, k)
+    assert bicentroid >= 80
+
+
+def test_cover_on_a_deep_tree_needs_no_recursion_per_level():
+    # a path of 6,401 vertices with a pendant leaf at vertices 100 and
+    # 6,300: the centroid root sits mid-path, over 3,000 levels above the ends
+    n = 6401
+    t = Tree([(i, i + 1) for i in range(n - 1)] + [(100, n), (6300, n + 1)])
+    _, _, parent = canonical_form(t)
+    canon = Tree._rooted(parent)
+    height = max(canon.distances_from(0).values())
+    assert height >= 3000 and len(t.branch_vertices()) == 2
+    assert is_m_burnable(t, t.order)
+    # below the height the first ball no longer covers the tree, and each
+    # ball mask unrolls its ancestors' down masks over about 3,000 levels
+    cover = _cover_general(parent, height)
+    assert cover is not None and cover[0][0] == height - 1
+    assert set().union(*(canon.ball(a, r) for r, a in cover)) == set(canon.vertices)
 
 
 def corrupt_stored_witness(tree):

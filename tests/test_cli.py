@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from treeburn import admissible as adm
+from treeburn import admissible as adm, cli
 from treeburn.cli import run
 from treeburn.topology import LengthAssignment, expand, make_chain_topology
 
@@ -128,7 +128,13 @@ def test_huge_m_is_capped_at_the_order(argv, code, out, err):
     # every tree of order n is n-burnable and every forest of N vertices is
     # N-burnable, so no radii list longer than that is built; the run is
     # limited to 1 GiB of address space, far below a list of 10**9 radii
-    proc = subprocess.run(
+    proc = run_in_one_gib(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def run_in_one_gib(argv):
+    """`HUGE_M` in a fresh interpreter limited to 1 GiB of address space."""
+    return subprocess.run(
         [sys.executable, "-c", HUGE_M] + argv,
         capture_output=True,
         text=True,
@@ -136,7 +142,40 @@ def test_huge_m_is_capped_at_the_order(argv, code, out, err):
         env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
         timeout=120,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_adm_order_at_huge_m_is_closed_form():
+    # the Stage-2 total is (m - L)^2 plus the empty blocks' segments, so no
+    # list of m rounds is built
+    proc = run_in_one_gib(["adm", "order", "chain3333", "--seq", "A_B,C_D", "-m", "1000000000"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "order=1000000003999999992\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["burn", "number", "spider:1000000000,1,1"],
+        ["spider", "balanced", "-n", "3", "-m", "1000000000"],
+    ],
+    ids=["huge-tree", "huge-answer"],
+)
+def test_out_of_memory_is_one_error_line(argv):
+    # a tree of 10**9 vertices, or an answer of 10**9 sources, does not fit
+    # in 1 GiB: the run ends with exit 3 and one error line, no traceback
+    proc = run_in_one_gib(argv)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "error: out of memory: the input is too large for this command\n"
+
+
+def test_recursion_error_is_one_error_line(monkeypatch, capsys):
+    def deep(_args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "_cmd_burn_number", deep)
+    assert run(["burn", "number", "path:9"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: recursion too deep: the input is too large for this command\n"
 
 
 def test_burn_maximal(capsys):

@@ -12,6 +12,7 @@ from treeburn.tree import (
     make_path,
     make_spider,
     make_star,
+    parent_diameter,
     parse_tree,
     subdivide_edge,
 )
@@ -24,7 +25,7 @@ from treeburn.topology import (
     parse_topology,
 )
 
-from conftest import random_topology, random_tree
+from conftest import bicentroid_tree, random_topology, random_tree
 import random
 
 
@@ -354,10 +355,6 @@ def test_trusted_builders_match_the_checked_constructor(built_paths):
         t = random_tree(rng, rng.randint(2, 30))
         u, v = rng.choice(t.edges)
         builds.append(lambda t=t, e=rng.choice([(u, v), (v, u)]): subdivide_edge(t, *e))
-        _, _, parent = canonical_form(relabel(t, rng))
-        builds.append(
-            lambda parent=parent: Tree._built((i, parent[i]) for i in range(1, len(parent)))
-        )
     for build in builds:
         calls = len(built_paths)
         tree = build()
@@ -414,5 +411,37 @@ def test_built_from_paths_matches_the_checked_constructor():
         assert built == checked and hash(built) == hash(checked), paths
         assert built.edges == checked.edges
         assert built.branch_vertices() == checked.branch_vertices()
+        # read off the path endpoints at build time, equal to a full scan
+        scan = tuple(v for v in built.vertices if built.degree(v) >= 3)
+        assert built._branch == scan, paths
         for v in checked.vertices:
             assert built.neighbors(v) == checked.neighbors(v), (paths, v)
+
+
+def parent_array_trees():
+    rng = random.Random(21)
+    trees = [relabel(random_tree(rng, rng.randint(1, 40)), rng) for _ in range(300)]
+    trees += [relabel(bicentroid_tree(rng, rng.randint(1, 20)), rng) for _ in range(150)]
+    trees += [make_path(n) for n in range(1, 60)]
+    trees += [make_spider([rng.randint(1, 9) for _ in range(rng.randint(3, 6))]) for _ in range(40)]
+    return trees
+
+
+def test_parent_array_diameter_matches_bfs():
+    bicentroid = 0
+    for t in parent_array_trees():
+        key, _, parent = canonical_form(t)
+        bicentroid += key.startswith("B")
+        assert parent_diameter(parent) == diameter(t), t.edges
+    assert bicentroid >= 150
+
+
+def test_rooted_tree_matches_the_checked_constructor():
+    for t in parent_array_trees():
+        _, _, parent = canonical_form(t)
+        rooted = Tree._rooted(parent)
+        checked = Tree([(i, parent[i]) for i in range(1, len(parent))], vertices=[0])
+        assert rooted == checked and hash(rooted) == hash(checked), parent
+        assert rooted.branch_vertices() == checked.branch_vertices()
+        for v in checked.vertices:
+            assert rooted.neighbors(v) == checked.neighbors(v), (parent, v)
