@@ -16,11 +16,10 @@ path-forest DP, which alone decides a path (the law n <= m*m).  Every other
 tree goes to a search that branches only on which radius covers a deepest
 uncovered vertex, with the ball's center fixed by an exchange argument.
 
-Burnability is monotone in m, so what the general search proves about a
-tree is one bracket per isomorphism class: lo < b(tree) <= hi, with lo the
-largest k proved not burnable and hi the least k proved burnable.  A memo
-keyed by canonical form keeps a bounded number of these brackets and, once
-b is proved, one optimal witness per class in canonical ids.  A stored
+b and an optimal burning sequence are invariants of a tree's isomorphism
+class.  A memo keyed by canonical form keeps, for a bounded number of
+classes, one optimal witness in canonical ids, so b is its length; only
+`burning_number` writes it, and `is_m_burnable` reads b from it.  A stored
 witness is exact for every tree of its class: the canonical labelling is an
 isomorphism, isomorphisms preserve distances, and every mapped witness is
 verified again on the caller's tree.  A class without one is searched on
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -82,6 +80,8 @@ class PathForest:
     path_orders: Tuple[int, ...]
 
     def __post_init__(self):
+        if not self.path_orders:
+            raise ValueError("a path forest needs at least one path")
         if any(p < 1 for p in self.path_orders):
             raise ValueError("path orders must be positive")
 
@@ -506,58 +506,20 @@ def _cover_general(parent: Sequence[int], m: int) -> Optional[List[Tuple[int, in
     return rec((1 << m) - 1, full)
 
 
-# Isomorphism classes whose entries the memo keeps, well above the ~1,100
+# Isomorphism classes whose witnesses the memo keeps, well above the ~1,100
 # trees of one pass of order-39 chain(3,3,3,3) orbits.
 _MEMO_CLASSES = 4096
 
-
-class _BracketMemo:
-    """Per canonical key, the bracket (lo, hi) on b and, once b is proved, an
-    optimal witness in canonical ids: lo the largest k proved not burnable
-    (0 when none), hi the least k proved burnable (None when none).  Holds
-    at most `capacity` classes and forgets the oldest first, witness and
-    all."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._entries: "OrderedDict[str, list]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def bracket(self, key: str) -> Tuple[int, Optional[int]]:
-        lo, hi, _ = self._entries.get(key, (0, None, None))
-        return lo, hi
-
-    def witness(self, key: str) -> Optional[Tuple[int, ...]]:
-        """The stored witness in canonical ids, or None."""
-        return self._entries.get(key, (0, None, None))[2]
-
-    def record(
-        self, key: str, k: int, burnable: bool, witness: Optional[Tuple[int, ...]] = None
-    ) -> None:
-        """Record that k is (not) burnable.  A witness, of length k, is
-        passed only once k - 1 is recorded as not burnable, so b = k."""
-        entry = self._entries.get(key)
-        if entry is None:
-            if len(self._entries) >= self.capacity:
-                self._entries.popitem(last=False)
-            entry = self._entries[key] = [0, None, None]
-        if burnable:
-            entry[1] = k if entry[1] is None else min(entry[1], k)
-        else:
-            entry[0] = max(entry[0], k)
-        if witness is not None:
-            entry[2] = witness
-
-
-_memo = _BracketMemo(_MEMO_CLASSES)
+# canonical key -> an optimal witness in canonical ids, written only by
+# `burning_number`, which drops the oldest class first at _MEMO_CLASSES
+_memo: Dict[str, Tuple[int, ...]] = {}
 
 
 def _witness_from_cover(
     tree: Tree, k: int, cover: List[Tuple[int, int]]
 ) -> BurningSchedule:
-    """Turn a covering into a valid burning sequence by simulating the rounds.
+    """Turn a covering by balls of radii k-1..0 into a valid burning
+    sequence of length k by simulating the rounds; needs k <= b(tree).
 
     If the designated center is already burned when its round arrives, or
     the cover leaves that radius unused, any vertex that keeps the distance
@@ -565,6 +527,11 @@ def _witness_from_cover(
     before that round's spread; the least unburned one when there is one.
     Coverage never depends on that choice: a center burned at round s <= t
     still burns its whole radius-(k-1-t) ball by round k.
+
+    Such a vertex exists in every round when k <= b.  Each source lit so far
+    kept the distance condition, so a tree fully burned before round t <= k
+    has a burning sequence of length t - 1 < k, and b < k.  When k > b the
+    tree may burn out early, and that is a `ValueError`, whatever the cover.
     """
     center_for = {k - 1 - r: c for r, c in cover}  # round index (0-based) -> center
     burned: set = set()
@@ -580,8 +547,8 @@ def _witness_from_cover(
             # unburned vertex is the least one.
             c = next((v for v in tree.vertices if v not in burned), None)
             if c is None:
-                if not fresh:
-                    raise AssertionError("no admissible source; cover was invalid")
+                if not fresh:  # burned out in t rounds, so b <= t < k
+                    raise ValueError(f"a witness of length {k} needs k <= b(tree)")
                 c = min(fresh)
         if c not in burned:
             burned.add(c)
@@ -597,9 +564,9 @@ def is_m_burnable(tree: Tree, m: int) -> bool:
     the order n: every tree is n-burnable, as a radius-(n-1) ball covers it.
     No k below the scan start is burnable (`burning_number`'s docstring), so
     there the answer is no without a cover.  A tree with two or more branch
-    vertices reads its class's memo bracket first, searches its canonical
-    parent array, the form the memo key comes from, and records what it
-    decides.
+    vertices whose class has a stored witness reads b off it, its length;
+    any other decides once on its canonical parent array, the form the memo
+    key comes from, and writes nothing to the memo.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -608,14 +575,10 @@ def is_m_burnable(tree: Tree, m: int) -> bool:
         legs = _legs(tree)
         return m >= _scan_start(tree, legs) and _cover_segments(legs, m) is not None
     key, _, parent = canonical_form(tree)
-    lo, hi = _memo.bracket(key)
-    if m <= lo:
-        return False
-    if hi is not None and m >= hi:
-        return True
-    ok = m >= _scan_start(tree) and _cover_general(parent, m) is not None
-    _memo.record(key, m, ok)
-    return ok
+    ids = _memo.get(key)
+    if ids is not None:
+        return m >= len(ids)
+    return m >= _scan_start(tree) and _cover_general(parent, m) is not None
 
 
 def _scan_start(tree: Tree, legs: Optional[_Legs] = None) -> int:
@@ -662,13 +625,10 @@ def burning_number(tree: Tree) -> Tuple[int, BurningSchedule]:
     A tree with two or more branch vertices whose class has a stored
     witness gets it mapped through its canonical labelling and verified,
     with no cover search.  Otherwise the scan runs on the class's canonical
-    parent array, from past the largest k its bracket records as not
-    burnable, and the cover becomes a witness on the tree that array
-    builds (`Tree._rooted`).  Every k below the start or the first cover
-    found is proved not burnable, so the bracket becomes (b - 1, b) and the
-    witness is stored in canonical ids.  Searching the canonical form makes
-    the witness a function of the tree alone, whatever the memo held or
-    evicted before.
+    parent array from `_scan_start`, and the cover at b becomes a witness on
+    the tree that array builds (`Tree._rooted`), stored in canonical ids.
+    That cover is a function of the array and b alone, so the witness is a
+    function of the tree alone, whatever the memo held or evicted before.
     Paths and spiders neither read nor write the memo, and their canonical
     form is never computed.
     """
@@ -679,14 +639,13 @@ def burning_number(tree: Tree) -> Tuple[int, BurningSchedule]:
         k, cover = _first_cover(_scan_start(tree, legs), lambda k: _cover_segments(legs, k))
         return k, _checked(tree, _witness_from_cover(tree, k, cover).sources)
     key, order, parent = canonical_form(tree)
-    ids = _memo.witness(key)
+    ids = _memo.get(key)
     if ids is None:
-        start = max(_scan_start(tree), _memo.bracket(key)[0] + 1)
-        k, cover = _first_cover(start, lambda k: _cover_general(parent, k))
+        k, cover = _first_cover(_scan_start(tree), lambda k: _cover_general(parent, k))
         ids = _witness_from_cover(Tree._rooted(parent), k, cover).sources
-        # k - 1 is proved not burnable, by the start's bound or by a failed cover
-        _memo.record(key, k - 1, False)
-        _memo.record(key, k, True, ids)
+        if len(_memo) >= _MEMO_CLASSES:
+            del _memo[next(iter(_memo))]
+        _memo[key] = ids
     return len(ids), _checked(tree, [order[i] for i in ids])
 
 
@@ -748,8 +707,8 @@ def is_maximally_m_burnable(tree: Tree, m: int) -> bool:
     """True iff b(tree) = m and no single degree-2 insertion stays m-burnable.
 
     b = m is decided as m-burnable and not (m-1)-burnable; after
-    `burning_number` on a tree with two or more branch vertices, the memo
-    bracket answers both without a search.  Subdivided trees are tried once
+    `burning_number` on a tree with two or more branch vertices, its stored
+    witness answers both without a search.  Subdivided trees are tried once
     per isomorphism class, through a local set of canonical keys; each
     subdivided tree keeps its canonical form, so the decision reuses it.
     """

@@ -56,6 +56,18 @@ def random_topology(rng: random.Random, max_branch: int = 5) -> Topology:
     return Topology(Tree(edges))
 
 
+def chain_images(v):
+    """The images of a chain(3,3,3,3) length vector (arms A1 A2 B C D1 D2,
+    then paths AB BC CD) under the chain's 8 automorphisms."""
+    a1, a2, b, c, d1, d2, e1, e2, e3 = v
+    out = []
+    for x in ((a1, a2, b, c, d1, d2, e1, e2, e3), (d1, d2, c, b, a1, a2, e3, e2, e1)):
+        for aa in ((x[0], x[1]), (x[1], x[0])):
+            for dd in ((x[4], x[5]), (x[5], x[4])):
+                out.append(aa + x[2:4] + dd + x[6:])
+    return out
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260826)

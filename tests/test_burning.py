@@ -40,7 +40,7 @@ from treeburn.tree import (
     parse_tree,
 )
 
-from conftest import bicentroid_tree, random_tree
+from conftest import bicentroid_tree, chain_images, random_tree
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -211,7 +211,7 @@ def reference_witness(tree, k, cover):
                 if v not in sources and all(d[v] >= t - j for j, d in enumerate(dist))
             ]
             if not candidates:
-                raise AssertionError("no admissible source; cover was invalid")
+                raise ValueError("no admissible source")
             pool = [v for v in candidates if v not in burned] or candidates
             c = min(pool)
         burned.add(c)
@@ -224,14 +224,15 @@ def test_witness_matches_reference_simulation(rng):
     def outcome(fn, *args):
         try:
             out = fn(*args)
-        except AssertionError:
+        except ValueError:
             return "invalid"
         return getattr(out, "sources", out)
 
     resited = invalid = 0
     for _ in range(400):
         t = random_tree(rng, rng.randint(1, 25))
-        k = burning_number(t)[0] + (rng.random() < 0.2)
+        b = burning_number(t)[0]
+        k = b + (rng.random() < 0.2)
         if len(t.branch_vertices()) <= 1:
             cover = _cover_segments(_legs(t), k)
         else:
@@ -257,12 +258,13 @@ def test_witness_matches_reference_simulation(rng):
         want = outcome(reference_witness, t, k, cover)
         assert outcome(_witness_from_cover, t, k, cover) == want, (t.edges, k, cover)
         invalid += want == "invalid"
+        assert want != "invalid" or k > b, (t.edges, k, cover)
         centres = dict(cover)
         resited += want != "invalid" and any(
             centres.get(k - 1 - i) != x for i, x in enumerate(want)
         )
-    # most covers force a re-site; a few leave no admissible source, and
-    # both simulations must reject those
+    # most covers force a re-site; a few with k = b + 1 leave no admissible
+    # source, and both simulations must reject those
     assert resited > 200 and 0 < invalid < 100, (resited, invalid)
 
 
@@ -336,8 +338,8 @@ def test_is_m_burnable_monotone(rng):
 
 @pytest.fixture
 def fresh_memo(monkeypatch):
-    """An empty bracket memo with the module's bound, for this test only."""
-    memo = burning._BracketMemo(burning._MEMO_CLASSES)
+    """An empty witness memo with the module's bound, for this test only."""
+    memo = {}
     monkeypatch.setattr(burning, "_memo", memo)
     return memo
 
@@ -359,18 +361,6 @@ def test_paths_and_spiders_skip_the_memo(monkeypatch, fresh_memo, rng):
         assert is_m_burnable(t, b)
         assert b == 1 or not is_m_burnable(t, b - 1)
     assert len(fresh_memo) == 0
-
-
-def chain_images(v):
-    """The images of a chain(3,3,3,3) length vector (arms A1 A2 B C D1 D2,
-    then paths AB BC CD) under the chain's 8 automorphisms."""
-    a1, a2, b, c, d1, d2, e1, e2, e3 = v
-    out = []
-    for x in ((a1, a2, b, c, d1, d2, e1, e2, e3), (d1, d2, c, b, a1, a2, e3, e2, e1)):
-        for aa in ((x[0], x[1]), (x[1], x[0])):
-            for dd in ((x[4], x[5]), (x[5], x[4])):
-                out.append(aa + x[2:4] + dd + x[6:])
-    return out
 
 
 def test_memo_proves_b_minus_one_once_per_orbit(monkeypatch, fresh_memo):
@@ -397,7 +387,7 @@ def test_memo_proves_b_minus_one_once_per_orbit(monkeypatch, fresh_memo):
         assert b == 6 and verify_schedule(t, sched).is_burning_sequence
         below.append(sum(m < b for m in calls))
     # the scan starts at 5 (diameter 17), so the first image proves k = 5
-    # infeasible and every other image starts at b from its class's bracket
+    # infeasible and every other image maps its class's stored witness
     assert below == [1] + [0] * 7
     del calls[:]
     assert not is_m_burnable(trees[3], 5) and is_m_burnable(trees[5], 6)
@@ -405,9 +395,9 @@ def test_memo_proves_b_minus_one_once_per_orbit(monkeypatch, fresh_memo):
 
 
 def test_memo_bound_and_eviction(monkeypatch, rng):
-    assert burning._memo.capacity == burning._MEMO_CLASSES
-    memo = burning._BracketMemo(6)
+    memo = {}
     monkeypatch.setattr(burning, "_memo", memo)
+    monkeypatch.setattr(burning, "_MEMO_CLASSES", 6)
     trees, keys = [], set()
     while len(trees) < 15:
         t = random_tree(rng, rng.randint(6, 10))
@@ -416,7 +406,7 @@ def test_memo_bound_and_eviction(monkeypatch, rng):
             trees.append(t)
     first = [burning_number(t)[0] for t in trees]
     assert len(memo) == 6
-    assert memo.bracket(canonical_key(trees[0])) == (0, None)  # evicted
+    assert canonical_key(trees[0]) not in memo  # evicted
     for t, want in zip(trees, first):
         b, sched = burning_number(t)
         assert b == want == brute_burning_number(t), t.edges
@@ -475,16 +465,17 @@ def test_orbit_repeats_run_no_cover_search(monkeypatch, fresh_memo):
 
 def test_witness_depends_only_on_the_tree(monkeypatch, rng):
     trees = branchy_trees(rng, 40, 8, 30)
+    monkeypatch.setattr(burning, "_MEMO_CLASSES", 1)
     for t, other in zip(trees, trees[1:]):
         if canonical_key(other) == canonical_key(t):
             continue
-        monkeypatch.setattr(burning, "_memo", burning._BracketMemo(1))
+        monkeypatch.setattr(burning, "_memo", {})
         fresh = burning_number(t)[1].sources
-        monkeypatch.setattr(burning, "_memo", burning._BracketMemo(1))
+        monkeypatch.setattr(burning, "_memo", {})
         burning_number(relabelled(t, rng))  # the class's witness comes from a copy
         after_copy = burning_number(t)[1].sources
         burning_number(other)  # evicts t's class
-        assert burning._memo.witness(canonical_key(t)) is None
+        assert canonical_key(t) not in burning._memo
         after_eviction = burning_number(t)[1].sources
         assert fresh == after_copy == after_eviction, t.edges
 
@@ -492,11 +483,32 @@ def test_witness_depends_only_on_the_tree(monkeypatch, rng):
 def test_stored_witness_answers_at_and_below_b(monkeypatch, fresh_memo):
     t = chain_trees((4, 5, 6, 7, 4, 5, 3, 2, 2))[0]
     b, sched = burning_number(t)
-    assert fresh_memo.witness(canonical_key(t)) is not None
+    assert canonical_key(t) in fresh_memo
     monkeypatch.setattr(burning, "_cover_general", None)  # no search may run
     assert not is_m_burnable(t, b - 1)
     assert is_m_burnable(t, b) and is_m_burnable(t, b + 3)
     assert burning_number(t) == (b, sched)
+
+
+def test_decisions_never_write_the_memo(monkeypatch, rng):
+    for t in branchy_trees(rng, 30, 8, 30):
+        monkeypatch.setattr(burning, "_memo", {})
+        b, sched = burning_number(t)
+        monkeypatch.setattr(burning, "_memo", {})
+        for k in range(1, b + 1):
+            assert is_m_burnable(t, k) == (k == b), (t.edges, k)
+        assert burning._memo == {}, t.edges
+        # decisions first, then the scan: the same witness as on an empty memo
+        assert burning_number(t) == (b, sched), t.edges
+
+
+def test_witness_from_cover_needs_k_at_most_b():
+    # P4 has b = 2; the radius-2 ball at vertex 1 covers it, but the tree
+    # burns out after round 2, so no third source keeps the distance condition
+    t = make_path(4)
+    assert burning_number(t)[0] == 2
+    with pytest.raises(ValueError, match=r"k <= b\(tree\)"):
+        burning._witness_from_cover(t, 3, [(2, 1)])
 
 
 def reference_cover_general(tree, m):
@@ -578,7 +590,7 @@ def corrupt_stored_witness(tree):
     assert not verify_schedule(
         tree, BurningSchedule(tuple(order[i] for i in bad))
     ).is_burning_sequence
-    burning._memo.record(key, b, True, bad)
+    burning._memo[key] = bad
 
 
 def test_corrupted_stored_witness_raises(fresh_memo):
@@ -616,8 +628,9 @@ except AssertionError as exc:
 
 
 def test_memo_bound_holds_with_witnesses(monkeypatch, rng):
-    memo = burning._BracketMemo(6)
+    memo = {}
     monkeypatch.setattr(burning, "_memo", memo)
+    monkeypatch.setattr(burning, "_MEMO_CLASSES", 6)
     trees, keys = [], []
     for t in branchy_trees(rng, 40, 6, 12):
         if canonical_key(t) not in keys:
@@ -626,10 +639,10 @@ def test_memo_bound_holds_with_witnesses(monkeypatch, rng):
     for t in trees:
         b, sched = burning_number(t)
         assert len(memo) <= 6
-        assert len(memo.witness(canonical_key(t))) == b
-    stored = [k for k in keys if memo.witness(k) is not None]
+        assert len(memo[canonical_key(t)]) == b
+    stored = [k for k in keys if k in memo]
     assert len(trees) > 6 and stored == keys[-6:]
-    assert memo.bracket(keys[0]) == (0, None)
+    assert keys[0] not in memo
 
 
 def test_maximality_check_computes_each_form_once(monkeypatch, fresh_memo):
@@ -816,10 +829,10 @@ def test_is_m_burnable_skips_the_cover_below_the_start(monkeypatch, rng):
             assert not is_m_burnable(t, k) and calls == [], (t.edges, k)
         del calls[:]
         assert is_m_burnable(t, start) == (b == start) and calls == [start], t.edges
-    # trees with two or more branch vertices pass the same gate after their
-    # memo bracket, so every k below the start is answered with no search
+    # trees with two or more branch vertices and no stored witness pass the
+    # same gate, so every k below the start is answered with no search
     for t in branchy_trees(rng, 30, 8, 40):
-        monkeypatch.setattr(burning, "_memo", burning._BracketMemo(burning._MEMO_CLASSES))
+        monkeypatch.setattr(burning, "_memo", {})
         start = _scan_start(t)
         for k in range(1, start):
             del calls[:]
@@ -894,6 +907,8 @@ def test_lean_check_distance_boundary():
 def test_path_forest_rejects_bad_orders():
     with pytest.raises(ValueError):
         PathForest((0, 3))
+    with pytest.raises(ValueError, match="at least one path"):
+        PathForest(())
 
 
 def test_enumerate_optimal_schedules_path():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from treeburn import admissible as adm, cli
+from treeburn import admissible as adm, burning, cli, spider
 from treeburn.cli import run
 from treeburn.topology import LengthAssignment, expand, make_chain_topology
 
@@ -207,6 +207,14 @@ def test_forest_burnable_deep_search(capsys):
         assert code == exit_code
 
 
+def test_forest_burnable_rejects_an_empty_forest(capsys):
+    for paths in (",", "paths:", ""):
+        assert run(["forest", "burnable", "--paths", paths, "-m", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a path forest needs at least one path\n"
+
+
 def test_forest_ln_empty_range_is_domain_error(capsys):
     for spec in ("5..2", "3..2"):
         assert run(["forest", "ln", "-n", "2", "--m-range", spec]) == 1
@@ -385,6 +393,25 @@ def test_spider_verify_min_diameter_reports_the_walk_size(capsys):
     assert captured.out == "min_diameter=14 confirmed=true\n"
     # the 27 partitions of 18 (extremal order 19, less the head) into 3 legs
     assert captured.err == "partitions 27\n"
+
+
+def test_spider_verify_min_diameter_refuses_a_huge_walk():
+    # p(1204) ~ 5.3e34 partitions of 2404 into 1200 legs are refused at
+    # once; the 2,611 of -n 5 -m 6 are under the cap and still walked
+    start = time.monotonic()
+    proc = run_in_one_gib(["spider", "verify-min-diameter", "-n", "1200", "-m", "3"])
+    assert time.monotonic() - start < 30
+    count = burning._partition_count(2404, 1200)
+    assert count > spider.MAX_PARTITIONS
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"partitions {count}\nerror: ")
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 2
+    proc = run_in_one_gib(["spider", "verify-min-diameter", "-n", "5", "-m", "6"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0,
+        "min_diameter=26 confirmed=true\n",
+        "partitions 2611\n",
+    )
 
 
 def test_tsv_format(capsys):

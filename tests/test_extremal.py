@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from conftest import random_topology
+from conftest import chain_images, random_topology
 from treeburn import admissible as adm
 from treeburn import extremal
 from treeburn.admissible import InducedSpec
@@ -345,26 +346,34 @@ def _expansion(lengths):
     )
 
 
-def _order39_assignments():
-    # order = 4 + sum(arm lengths) + sum(internal lengths - 1) = 39
-    total = 38
-    for e1 in range(1, total - 7):
-        for e2 in range(1, total - e1 - 6):
-            for e3 in range(1, total - e1 - e2 - 5):
-                rem = total - e1 - e2 - e3
-                for a1 in range(1, rem - 4):
-                    for a2 in range(1, rem - a1 - 3):
-                        for b in range(1, rem - a1 - a2 - 2):
-                            for c in range(1, rem - a1 - a2 - b - 1):
-                                for d1 in range(1, rem - a1 - a2 - b - c):
-                                    d2 = rem - a1 - a2 - b - c - d1
-                                    yield (a1, a2, b, c, d1, d2, e1, e2, e3)
+def _chain_assignments(total):
+    """Every chain(3,3,3,3) length vector (arms A1 A2 B C D1 D2, then paths
+    AB BC CD) of positive parts summing to `total`: the trees of order
+    4 + sum(arm lengths) + sum(path lengths - 1) = total + 1."""
+    for cuts in itertools.combinations(range(1, total), 8):
+        yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+
+
+def _orbit_representatives(vectors):
+    """The vectors equal to their least image under the chain's
+    automorphisms, one per orbit."""
+    return (v for v in vectors if v == min(chain_images(v)))
+
+
+def test_orbit_representatives_are_one_per_orbit():
+    vectors = list(_chain_assignments(14))
+    assert len(set(vectors)) == len(vectors) == math.comb(13, 8)
+    reps = list(_orbit_representatives(vectors))
+    assert len(set(reps)) == len(reps)
+    assert set(reps) == {min(chain_images(v)) for v in vectors}
 
 
 def test_chain_3333_m5_no_larger_order_sampled():
     # the found extremal tree has order 38; a seeded sample of order-39
     # homeomorphic trees confirms none of them is 5-burnable.  Set
-    # TREEBURN_EXHAUSTIVE=1 to sweep all assignments (about 15 CPU-hours).
+    # TREEBURN_EXHAUSTIVE=1 to sweep one assignment per automorphism orbit,
+    # 6,041,604 of C(37,8) = 38,608,020, as isomorphic trees have equal b
+    # (about 0.4 CPU-hours).
     import os
     import random
 
@@ -373,7 +382,7 @@ def test_chain_3333_m5_no_larger_order_sampled():
     assert res.tree.order == 38
 
     if os.environ.get("TREEBURN_EXHAUSTIVE"):
-        pool = _order39_assignments()
+        pool = _orbit_representatives(_chain_assignments(38))
     else:
         rng = random.Random(99)
         pool = []
