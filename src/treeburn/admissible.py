@@ -6,8 +6,11 @@ index.  Sequences induce concrete trees of a chosen degree m via two stages of
 arm/internal-path extension, and reduce to a unique canonical form.
 Canonical sequences are built directly, block by block
 (`enumerate_canonical`), and `best_canonical` scores them as it builds them
-to find the extremal one; `enumerate_admissible` with `is_canonical` is the
-brute-force reference.
+to find the extremal one, its order and sequence, without building a tree;
+`enumerate_admissible` with `is_canonical` is the brute-force reference.
+`induced_plan` computes the induced tree's paths, order and round sources
+afresh on each call and keeps nothing: `induce_tree` builds the tree from
+it, and `witness_schedule` reads the sources off it.
 """
 
 from __future__ import annotations
@@ -235,29 +238,11 @@ class InducedPlan(NamedTuple):
     sources: Tuple[int, ...]
 
 
-# The last plan `induced_plan` returned, with its spec: `find_extremal`
-# builds the winner's tree from it, and the winner's `witness_schedule`
-# reads the same plan.  One entry, owned by this module.
-_last_plan: Optional[Tuple[InducedSpec, InducedPlan]] = None
-
-
-def induced_plan(
-    spec: InducedSpec, sig: Optional[Dict[int, int]] = None
-) -> InducedPlan:
-    """The induced tree's paths, order and sources.  `sig` is the sequence's
-    signature when the caller already holds it (the sequence is then taken
-    as valid); otherwise it is computed and the sequence validated.
-
-    A spec equal to the last one returned gets the same plan back: equal
-    topology object, sequence, m and placement.  A plan is kept only once
-    every check has passed, so an invalid spec always raises."""
-    global _last_plan
-    last = _last_plan
-    if last is not None and last[0] == spec:
-        return last[1]
+def induced_plan(spec: InducedSpec) -> InducedPlan:
+    """The induced tree's paths, order and sources.  The sequence is
+    validated by `signature`, and the placement as it is read."""
     topology, seq, m = spec.topology, spec.sequence, spec.m
-    if sig is None:
-        sig = signature(topology, seq)
+    sig = signature(topology, seq)
     s1 = stage1_additions(topology, seq, m, sig)
     s2 = stage2_additions(seq, m)
     fresh = count(max(topology.tree.vertices) + 1)
@@ -310,13 +295,11 @@ def induced_plan(
         else:
             raise ValueError(f"unknown placement kind {kind!r}")
         sources[i] = seg[m - i]
-    plan = InducedPlan(
+    return InducedPlan(
         paths=tuple(map(tuple, [*arm_paths.values(), *internal_paths.values()])),
         order=topology.tree.order + s1.total + s2.total,
         sources=tuple(sources[i] for i in range(1, m + 1)),
     )
-    _last_plan = (spec, plan)
-    return plan
 
 
 def induce_tree(spec: InducedSpec) -> Tree:
@@ -636,12 +619,10 @@ def _canonical_sequences(
         yield from place(1, table.full, table.masks)
 
 
-def best_canonical(
-    topology: Topology, m: int
-) -> Tuple[int, AdmissibleSequence, Dict[int, int]]:
-    """(order, sequence, signature) of the canonical sequence without empty
-    blocks that passes rule 2c and has the largest induced order at m, ties
-    broken by least `sequence_key`.  Needs m > k, the branch-vertex count.
+def best_canonical(topology: Topology, m: int) -> Tuple[int, AdmissibleSequence]:
+    """(order, sequence) of the canonical sequence without empty blocks that
+    passes rule 2c and has the largest induced order at m, ties broken by
+    least `sequence_key`.  Needs m > k, the branch-vertex count.
 
     The search places blocks as `_canonical_sequences` does (same site
     test, no empty block) and scores each block as it is placed.  For a
@@ -694,13 +675,9 @@ def best_canonical(
     k = len(topology.branch_vertices)
     if m <= k:
         raise ValueError(f"m must exceed the branch-vertex count {k}")
-    order, blocks, sig, arms = _best_at_m0(*topology.skeleton())
+    order, blocks, arms = _best_at_m0(*topology.skeleton())
     m0 = k + 1
-    return (
-        order + (m - m0) * (m + m0 + arms - 2),
-        AdmissibleSequence(blocks=blocks),
-        dict(sig),
-    )
+    return order + (m - m0) * (m + m0 + arms - 2), AdmissibleSequence(blocks=blocks)
 
 
 # `Topology.skeleton` triples (branch ids, skeleton edges, arm counts) whose
@@ -712,7 +689,7 @@ _SEARCH_MEMO = 256
 @lru_cache(maxsize=_SEARCH_MEMO)
 def _best_at_m0(branch: tuple, skeleton: tuple, arms: tuple):
     """`best_canonical` at m0 = k + 1 for `Topology.skeleton`'s triple, as
-    immutable values: (order at m0, blocks, ((vertex, sig), ...), A)."""
+    immutable values: (order at m0, blocks, A)."""
     table = _block_table(branch, skeleton)
     k = table.k
     # per block, the arms at its members; per placement, the sum over
@@ -795,12 +772,7 @@ def _best_at_m0(branch: tuple, skeleton: tuple, arms: tuple):
 
     n_arms = sum(arms)
     place(1, table.full, masks, 0, 0, 0, n_arms, 0, 0, k - 1)
-    return (
-        k + n_arms + best_order,
-        tuple(map(table.block, best)),
-        tuple((branch[i], d + j) for j, p in enumerate(best, start=1) for i, d in p.offsets),
-        n_arms,
-    )
+    return k + n_arms + best_order, tuple(map(table.block, best)), n_arms
 
 
 def enumerate_canonical(

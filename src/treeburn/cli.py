@@ -439,3 +439,7 @@ def run(argv: Optional[List[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

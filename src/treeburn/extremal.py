@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .tree import Tree
@@ -44,11 +45,21 @@ class FourBranchCase:
 
 @dataclass(frozen=True)
 class ExtremalResult:
-    sequence: AdmissibleSequence
+    """The winner of `find_extremal`: its spec (topology, sequence, m) and
+    induced order.  `tree` is built from the spec on first read and kept."""
+
+    spec: InducedSpec
     order: int
-    tree: Tree
     burning_number: Optional[int] = None
     maximal: Optional[bool] = None
+
+    @property
+    def sequence(self) -> AdmissibleSequence:
+        return self.spec.sequence
+
+    @cached_property
+    def tree(self) -> Tree:
+        return adm.induce_tree(self.spec)
 
 
 @dataclass(frozen=True)
@@ -106,25 +117,25 @@ def find_extremal(topology: Topology, m: int, verify: bool = False) -> ExtremalR
     that search runs once per labelled skeleton: its result at m0 = k + 1
     is memoised, and each m adds the same shift to it.  This is exact,
     because the search reads only branch ids, skeleton edges and arm
-    counts, and ties are broken on branch ids alone.  Only the tree is
-    built per call, from the winner's `admissible.induced_plan`, which
-    that module keeps: the winner's `witness_schedule` (an equal
-    `InducedSpec`) reads the same plan and builds nothing.
+    counts, and ties are broken on branch ids alone.  Nothing is built:
+    the result holds the winner's `InducedSpec`, and its `tree` is induced
+    from it when first read.  With `verify`, that read happens here, once,
+    and the tree is burned.
 
     Every candidate satisfies m > max signature: block j of a sequence
     without empty blocks holds at most k - j + 1 of the k branch vertices,
     so sig(v) <= (k - j) + j = k < m.  The one-block sequence survives both
     rules, so a winner always exists."""
-    best_order, winner, sig = adm.best_canonical(topology, m)
+    best_order, winner = adm.best_canonical(topology, m)
     spec = InducedSpec(topology=topology, sequence=winner, m=m)
-    tree = Tree._built(adm.induced_plan(spec, sig).paths)
-    b = maximal = None
-    if verify:
-        b, _ = burning.burning_number(tree)
-        maximal = burning.is_maximally_m_burnable(tree, b) if b == m else False
-    return ExtremalResult(
-        sequence=winner, order=best_order, tree=tree, burning_number=b, maximal=maximal
-    )
+    if not verify:
+        return ExtremalResult(spec=spec, order=best_order)
+    tree = adm.induce_tree(spec)
+    b, _ = burning.burning_number(tree)
+    maximal = burning.is_maximally_m_burnable(tree, b) if b == m else False
+    result = ExtremalResult(spec=spec, order=best_order, burning_number=b, maximal=maximal)
+    vars(result)["tree"] = tree  # the `tree` cache: built once per call
+    return result
 
 
 def order_difference(

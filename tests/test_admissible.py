@@ -202,7 +202,7 @@ def test_search_memo_is_bounded():
     bound = adm._SEARCH_MEMO
     adm._best_at_m0.cache_clear()
     for n in range(3, 3 + bound + 20):
-        order, _, _ = adm.best_canonical(make_star_topology(n)[0], 2)
+        order, _ = adm.best_canonical(make_star_topology(n)[0], 2)
         assert order == n + 2  # n(m-1) + 1 + (m-1)^2 at m = 2
         assert adm._best_at_m0.cache_info().currsize <= bound
     assert adm._best_at_m0.cache_info().currsize == bound
@@ -237,20 +237,7 @@ def test_witness_schedule_rejects_a_tree_of_another_sequence():
         adm.witness_schedule(spec, other)
 
 
-def _count_signatures(monkeypatch):
-    calls = []
-    real = adm.signature
-
-    def counted(topology, sequence):
-        calls.append(1)
-        return real(topology, sequence)
-
-    monkeypatch.setattr(adm, "signature", counted)
-    return calls
-
-
-def test_extremal_witness_reuses_the_plan(rng, monkeypatch):
-    calls = _count_signatures(monkeypatch)
+def test_extremal_witness_burns_the_winner_tree(rng):
     cases = 0
     while cases < 60:
         topo = random_topology(rng, 6)
@@ -259,24 +246,19 @@ def test_extremal_witness_reuses_the_plan(rng, monkeypatch):
             continue
         for m in range(k + 1, k + 4):
             res = find_extremal(topo, m)
-            del calls[:]
             spec = InducedSpec(topology=topo, sequence=res.sequence, m=m)
             sched = adm.witness_schedule(spec)
-            assert calls == []  # the winner's plan, not a new one
             assert len(sched.sources) == m
             assert verify_schedule(res.tree, sched).is_burning_sequence
             assert adm.witness_schedule(spec, res.tree) == sched
             cases += 1
 
 
-def test_plan_memo_has_no_stale_hit(rng, monkeypatch):
-    calls = _count_signatures(monkeypatch)
+def test_plan_depends_on_the_whole_spec(rng):
     s = seq("A_B,C_D")
     spec = InducedSpec(topology=CHAIN, sequence=s, m=6)
     plan = adm.induced_plan(spec)
-    del calls[:]
-    assert adm.induced_plan(InducedSpec(topology=CHAIN, sequence=s, m=6)) is plan
-    assert calls == []
+    assert adm.induced_plan(InducedSpec(topology=CHAIN, sequence=s, m=6)) == plan
     twin = make_chain_topology(3, 3, 3, 3)[0]  # the same edges, another object
     placement = _random_placement(rng, CHAIN, s, 6)
     others = [
@@ -286,11 +268,8 @@ def test_plan_memo_has_no_stale_hit(rng, monkeypatch):
         (InducedSpec(topology=CHAIN, sequence=seq("D_C,B_A"), m=6), CHAIN),
     ]
     for other, topo in others:
-        del calls[:]
         got = adm.induced_plan(other)
-        assert calls == [1]  # a miss: the sequence is validated again
         assert got.order == adm.induced_order(topo, other.sequence, other.m)
-        adm._last_plan = None
         assert adm.induced_plan(other) == got
         adm.induced_plan(spec)
     assert adm.induced_plan(spec) == plan
@@ -311,13 +290,14 @@ def test_invalid_spec_raises_after_a_valid_one():
         ),
     ]
     valid = InducedSpec(topology=CHAIN, sequence=s, m=6)
+    plan = adm.induced_plan(valid)
     for spec, message in bad:
-        plan = adm.induced_plan(valid)
+        adm.induced_plan(valid)
         with pytest.raises(ValueError, match=message):
             adm.induced_plan(spec)
         with pytest.raises(ValueError, match=message):
             adm.witness_schedule(spec)
-        assert adm.induced_plan(valid) is plan
+        assert adm.induced_plan(valid) == plan
 
 
 def test_block_table_built_once_per_labelled_skeleton(monkeypatch):
@@ -363,7 +343,7 @@ def test_block_table_memo_is_bounded():
     for h in range(bound + 20):
         # one branch vertex of id h: a skeleton of its own per h
         topo = Topology(Tree([(h, h + i) for i in range(1, 4)]))
-        order, _, _ = adm.best_canonical(topo, 2)
+        order, _ = adm.best_canonical(topo, 2)
         assert order == 5  # n(m-1) + 1 + (m-1)^2 with n = 3, m = 2
         assert adm._block_table.cache_info().currsize <= bound
     assert adm._block_table.cache_info().currsize == bound

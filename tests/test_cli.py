@@ -151,6 +151,25 @@ def test_adm_order_at_huge_m_is_closed_form():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "order=1000000003999999992\n", "")
 
 
+def test_ext_search_at_huge_m_builds_no_tree():
+    # the winner's order is the search's, so the tree of order about 10**10
+    # that it induces is never built
+    proc = run_in_one_gib(["ext", "search", "chain3333", "-m", "100000"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "order=10000399993 seq=B_AC,D\n", "")
+
+
+def test_python_m_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "treeburn.cli", "burn", "number", "path:9"],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "b=3 sources=2,6,8\n", "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -235,6 +235,48 @@ def test_find_extremal_verify():
     assert res.maximal
 
 
+def _count_builds(monkeypatch):
+    """Count `Tree._built` and `admissible.induced_plan` calls."""
+    builds, plans = [], []
+    built, plan = Tree._built.__func__, adm.induced_plan
+    monkeypatch.setattr(
+        Tree, "_built", classmethod(lambda cls, paths: builds.append(1) or built(cls, paths))
+    )
+    monkeypatch.setattr(adm, "induced_plan", lambda spec: plans.append(1) or plan(spec))
+    return builds, plans
+
+
+def test_find_extremal_builds_the_tree_when_read(monkeypatch):
+    builds, plans = _count_builds(monkeypatch)
+    for m in (5, 6, 100000):
+        res = find_extremal(CHAIN, m)
+        assert (builds, plans) == ([], [])  # the search alone
+        assert res.spec == InducedSpec(topology=CHAIN, sequence=res.sequence, m=m)
+        if m > 6:
+            continue  # ext search chain3333 -m 100000 answers without the tree
+        tree = res.tree
+        assert (builds, plans) == ([1], [1])
+        assert tree.edges == adm.induce_tree(res.spec).edges
+        assert tree.order == res.order
+        del builds[:], plans[:]
+        assert res.tree is tree
+        assert (builds, plans) == ([], [])
+
+
+def test_find_extremal_verify_builds_the_tree_once(monkeypatch):
+    # the maximality check builds the subdivided trees, so the plans count
+    # the induced trees
+    builds, plans = _count_builds(monkeypatch)
+    res = find_extremal(CHAIN, 5, verify=True)
+    assert (res.burning_number, res.maximal) == (5, True)
+    assert plans == [1]
+    del builds[:]
+    tree = res.tree
+    assert res.tree is tree
+    assert (builds, plans) == ([], [1])
+    assert tree.edges == adm.induce_tree(res.spec).edges
+
+
 def test_find_extremal_rejects_small_m():
     with pytest.raises(ValueError):
         find_extremal(CHAIN, 4)
