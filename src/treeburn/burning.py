@@ -17,13 +17,17 @@ tree goes to a search that branches only on which radius covers a deepest
 uncovered vertex, with the ball's center fixed by an exchange argument.
 
 b and an optimal burning sequence are invariants of a tree's isomorphism
-class.  A memo keyed by canonical form keeps, for a bounded number of
-classes, one optimal witness in canonical ids, so b is its length; only
-`burning_number` writes it, and `is_m_burnable` reads b from it.  A stored
-witness is exact for every tree of its class: the canonical labelling is an
-isomorphism, isomorphisms preserve distances, and every mapped witness is
-verified again on the caller's tree.  A class without one is searched on
-its canonical parent array, so no witness depends on which isomorphic trees
+class.  A memo keyed by canonical key keeps, for a bounded number of
+classes, one optimal witness as indices into the class's run order
+(`tree.canonical_runs`), so b is its length; only `burning_number` writes
+it, and `is_m_burnable` reads b from it.  A stored witness is exact for
+every tree of its class: i -> run_order[i] matches the vertices of two
+trees with one key under an isomorphism, isomorphisms preserve distances,
+and every mapped witness is verified again on the caller's tree.  A hit
+reads only the key and the run order, which come off the tree's runs of
+degree-2 vertices; the per-vertex labelling (`tree.canonical_form`) is
+built only on a miss.  A class without a witness is searched on its
+canonical parent array, so no witness depends on which isomorphic trees
 came first.  Trees with at most one branch vertex bypass the memo, since the
 segment engine is cheap and the scan for their burning number starts at b.
 """
@@ -37,8 +41,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .tree import (
     Tree,
+    _runs,
     canonical_form,
     canonical_key,
+    canonical_runs,
     make_path,
     parent_diameter,
     subdivide_edge,
@@ -317,10 +323,10 @@ def _legs(tree: Tree) -> _Legs:
     out; a path has head None and one leg, its vertices end to end."""
     if tree.is_path():
         end = tree.leaves()[0]
-        line = topo_mod._walk(tree, end, tree.neighbors(end)[0]) if tree.order > 1 else [end]
+        line = [end] + _runs(tree._adj, end)[0] if tree.order > 1 else [end]
         return None, [line]
     head = tree.branch_vertices()[0]
-    return head, [topo_mod._walk(tree, head, w)[1:] for w in tree.neighbors(head)]
+    return head, _runs(tree._adj, head)
 
 
 def _cover_segments(legs: _Legs, m: int) -> Optional[List[Tuple[int, int]]]:
@@ -510,8 +516,9 @@ def _cover_general(parent: Sequence[int], m: int) -> Optional[List[Tuple[int, in
 # trees of one pass of order-39 chain(3,3,3,3) orbits.
 _MEMO_CLASSES = 4096
 
-# canonical key -> an optimal witness in canonical ids, written only by
-# `burning_number`, which drops the oldest class first at _MEMO_CLASSES
+# canonical key -> an optimal witness as indices into the class's run order
+# (`canonical_runs`), written only by `burning_number`, which drops the
+# oldest class first at _MEMO_CLASSES
 _memo: Dict[str, Tuple[int, ...]] = {}
 
 
@@ -564,9 +571,9 @@ def is_m_burnable(tree: Tree, m: int) -> bool:
     the order n: every tree is n-burnable, as a radius-(n-1) ball covers it.
     No k below the scan start is burnable (`burning_number`'s docstring), so
     there the answer is no without a cover.  A tree with two or more branch
-    vertices whose class has a stored witness reads b off it, its length;
-    any other decides once on its canonical parent array, the form the memo
-    key comes from, and writes nothing to the memo.
+    vertices whose class has a stored witness reads b off it, its length,
+    and builds no canonical labelling; any other decides once on its
+    canonical parent array and writes nothing to the memo.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -574,11 +581,10 @@ def is_m_burnable(tree: Tree, m: int) -> bool:
     if len(tree.branch_vertices()) <= 1:
         legs = _legs(tree)
         return m >= _scan_start(tree, legs) and _cover_segments(legs, m) is not None
-    key, _, parent = canonical_form(tree)
-    ids = _memo.get(key)
+    ids = _memo.get(canonical_runs(tree)[0])
     if ids is not None:
         return m >= len(ids)
-    return m >= _scan_start(tree) and _cover_general(parent, m) is not None
+    return m >= _scan_start(tree) and _cover_general(canonical_form(tree)[2], m) is not None
 
 
 def _scan_start(tree: Tree, legs: Optional[_Legs] = None) -> int:
@@ -623,11 +629,15 @@ def burning_number(tree: Tree) -> Tuple[int, BurningSchedule]:
     spiders take one cover.
 
     A tree with two or more branch vertices whose class has a stored
-    witness gets it mapped through its canonical labelling and verified,
-    with no cover search.  Otherwise the scan runs on the class's canonical
-    parent array from `_scan_start`, and the cover at b becomes a witness on
-    the tree that array builds (`Tree._rooted`), stored in canonical ids.
-    That cover is a function of the array and b alone, so the witness is a
+    witness gets it mapped through its run order and verified, with no
+    cover search and no canonical labelling.  Otherwise the scan runs on
+    the class's canonical parent array from `_scan_start`, and the cover at
+    b becomes a witness on the tree that array builds (`Tree._rooted`); its
+    BFS ids map through `order` to this tree's vertices, and those are
+    stored as their run-order indices.  For every tree of the class the map
+    from BFS id to run index is the same, as both orders are read off the
+    same sorted runs, so a hit returns the vertices the search would.  That
+    cover is a function of the array and b alone, so the witness is a
     function of the tree alone, whatever the memo held or evicted before.
     Paths and spiders neither read nor write the memo, and their canonical
     form is never computed.
@@ -638,15 +648,17 @@ def burning_number(tree: Tree) -> Tuple[int, BurningSchedule]:
         legs = _legs(tree)
         k, cover = _first_cover(_scan_start(tree, legs), lambda k: _cover_segments(legs, k))
         return k, _checked(tree, _witness_from_cover(tree, k, cover).sources)
-    key, order, parent = canonical_form(tree)
+    key, run_order = canonical_runs(tree)
     ids = _memo.get(key)
     if ids is None:
+        _, order, parent = canonical_form(tree)
         k, cover = _first_cover(_scan_start(tree), lambda k: _cover_general(parent, k))
-        ids = _witness_from_cover(Tree._rooted(parent), k, cover).sources
+        sources = [order[i] for i in _witness_from_cover(Tree._rooted(parent), k, cover).sources]
         if len(_memo) >= _MEMO_CLASSES:
             del _memo[next(iter(_memo))]
-        _memo[key] = ids
-    return len(ids), _checked(tree, [order[i] for i in ids])
+        _memo[key] = tuple(map(run_order.index, sources))
+        return k, _checked(tree, sources)
+    return len(ids), _checked(tree, [run_order[i] for i in ids])
 
 
 def _first_cover(k: int, cover_at) -> Tuple[int, List[Tuple[int, int]]]:

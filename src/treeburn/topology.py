@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .tree import Tree, TreeError, parse_labels, parse_tree
+from .tree import Tree, TreeError, _runs, parse_labels, parse_tree
 
 
 class TopologyError(ValueError):
@@ -115,19 +115,6 @@ class Decomposition:
     internal_paths: List[Tuple[int, int, Tuple[int, ...]]]
 
 
-def _walk(tree: Tree, start: int, first: int) -> List[int]:
-    """Follow the path from a branch vertex into direction `first` until the
-    next branch vertex or a leaf; returns the full vertex path."""
-    adj = tree._adj
-    path = [start, first]
-    prev, cur = start, first
-    while len(adj[cur]) == 2:  # branch vertices have degree >= 3
-        a, b = adj[cur]
-        prev, cur = cur, b if a == prev else a
-        path.append(cur)
-    return path
-
-
 def decompose(tree: Tree) -> Decomposition:
     """Split a tree with at least one branch vertex into arms and internal paths."""
     branch = frozenset(tree.branch_vertices())
@@ -137,8 +124,8 @@ def decompose(tree: Tree) -> Decomposition:
     internal = []
     seen_internal = set()
     for v in sorted(branch):
-        for w in tree.neighbors(v):
-            path = _walk(tree, v, w)
+        for run in _runs(tree._adj, v):
+            path = [v] + run
             end = path[-1]
             if end in branch:
                 key = _pair(v, end)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from itertools import accumulate
+from itertools import accumulate, compress, count
+from operator import sub
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 
@@ -18,7 +19,9 @@ class Tree:
     files keep the ids that appear in the document).  Instances are immutable
     after construction and safe to share.  A tree holds its vertices and each
     vertex's neighbours; the sorted edge tuple `edges` is derived from them
-    on first read and kept, like the distance table and the canonical form.
+    on first read and kept, like the distance table, the canonical key with
+    its run order (`canonical_runs`) and the labelled canonical form
+    (`canonical_form`), which is read off that run order.
     """
 
     def __init__(self, edges: Iterable[Tuple[int, int]], vertices: Iterable[int] = ()):
@@ -115,6 +118,7 @@ class Tree:
         self._edges: Tuple[Tuple[int, int], ...] | None = None
         self._dist: Dict[int, Dict[int, int]] | None = None
         self._branch: Tuple[int, ...] | None = None
+        self._canon: Tuple[str, Tuple[int, ...], int] | None = None
         self._form: Tuple[str, Tuple[int, ...], Tuple[int, ...]] | None = None
 
     @property
@@ -298,79 +302,151 @@ def subdivide_edge(tree: Tree, u: int, v: int) -> Tree:
     return Tree._built(paths)
 
 
+def _runs(adj, x: int, back: int | None = None) -> List[List[int]]:
+    """For each neighbour w of x but `back`, in adjacency order, the run
+    from w: the vertices from w up to the first one of degree other than 2,
+    which ends the run.  A run of L+1 vertices has L degree-2 vertices and
+    then its end."""
+    out = []
+    for w in adj[x]:
+        if w == back:
+            continue
+        run = [w]
+        prev = x
+        while len(adj[w]) == 2:
+            a, b = adj[w]
+            prev, w = w, b if a == prev else a
+            run.append(w)
+        out.append(run)
+    return out
+
+
+def _run_tree(
+    adj, root: int, block: int | None = None
+) -> Tuple[List[int], Dict[int, List[List[int]]]]:
+    """(nodes, kids) of the tree rooted at `root`, without `block`'s side.
+    The nodes are the root and every run's end that is not a leaf, each
+    after the node its run hangs from, and kids[x] is node x's runs
+    (`_runs`) away from the root."""
+    kids = {root: _runs(adj, root, block)}
+    nodes = [root]
+    for x in nodes:
+        for run in kids[x]:
+            y = run[-1]
+            if len(adj[y]) > 1:
+                kids[y] = _runs(adj, y, run[-2] if len(run) > 1 else x)
+                nodes.append(y)
+    return nodes, kids
+
+
 def _centroid(tree: Tree) -> Tuple[int, ...]:
     """The one or two centroid vertices (minimising the max subtree size).
 
     A vertex is a centroid iff removing it leaves no component of more than
-    n/2 vertices.  One BFS gives subtree sizes; from the root, step to the
-    child whose subtree holds more than n/2 vertices while there is one.  The
-    side above each step holds fewer than n/2, so the vertex reached is a
-    centroid, and a second one is its child with exactly n/2 below it.
+    n/2 vertices.  One walk over the runs from the first vertex gives each
+    node's subtree size, and a run of L+1 vertices hanging from a node
+    holds t = L + (its end's size) of them.  From the root, step into the
+    run holding more than n/2 vertices while there is one.  Its vertex at
+    index j holds t - j below it, so the walk stops in the run at the
+    least j whose successor holds at most n/2, j = t - 1 - n//2, unless
+    that is the run's end, which is a node to step from again.  The side
+    above each stop holds fewer than n/2, so the vertex reached is a
+    centroid, and a second one is the next vertex down when exactly n/2
+    lie below it.
     """
-    adj = tree._adj
-    root = tree.vertices[0]
-    parent = {root: None}
-    order = [root]
-    for u in order:
-        for w in adj[u]:
-            if w != parent[u]:
-                parent[w] = u
-                order.append(w)
-    size = dict.fromkeys(order, 1)
-    for u in reversed(order[1:]):
-        size[parent[u]] += size[u]
     n = tree.order
-    v = root
+    v = tree.vertices[0]
+    nodes, kids = _run_tree(tree._adj, v)
+    size = {}  # a leaf, not a node, has size 1
+    for x in reversed(nodes):
+        s = 1
+        for run in kids[x]:
+            s += len(run) - 1 + size.get(run[-1], 1)
+        size[x] = s
     while True:
-        heavy = [w for w in adj[v] if w != parent[v] and 2 * size[w] >= n]
-        if not heavy or 2 * size[heavy[0]] == n:
-            return tuple(sorted([v] + heavy))
-        v = heavy[0]
-
-
-def _rooted_form(
-    tree: Tree, root: int, block: int | None = None
-) -> Tuple[str, List[int], List[int]]:
-    """AHU string of the tree rooted at `root`, without `block`'s side, with
-    its vertices in canonical order and each one's parent index there (-1
-    for the root).
-
-    A vertex encodes as "(" + its children's encodings, sorted, + ")".  The
-    strings are built without recursion in reverse BFS order, so every child
-    comes before its parent, and each child's string is dropped once its
-    parent's is built.  The canonical order is the BFS order that visits
-    each vertex's children in the order of their encodings.  Children with
-    equal encodings root isomorphic subtrees, so how their tie is broken
-    does not change the parent array: isomorphic rooted trees get the same
-    one.
-    """
-    adj = tree._adj
-    kids = {root: [w for w in adj[root] if w != block]}
-    bfs = [root]
-    for v in bfs:
-        ks = kids[v]
-        bfs += ks
-        for w in ks:
-            k = kids[w] = list(adj[w])
-            k.remove(v)
-    enc: Dict[int, str] = {}
-    for v in reversed(bfs):
-        ks = kids[v]
-        # most vertices have at most one child; they skip the sort
-        if not ks:
-            enc[v] = "()"
-        elif len(ks) == 1:
-            enc[v] = "(" + enc.pop(ks[0]) + ")"
+        for run in kids[v]:
+            t = len(run) - 1 + size.get(run[-1], 1)
+            if 2 * t >= n:
+                break
         else:
-            ks.sort(key=enc.__getitem__)
-            enc[v] = "(" + "".join(map(enc.pop, ks)) + ")"
+            return (v,)
+        if 2 * t == n:
+            return tuple(sorted((v, run[0])))
+        j = t - 1 - n // 2
+        if j < len(run) - 1:
+            if 2 * (t - j - 1) == n:
+                return tuple(sorted(run[j : j + 2]))
+            return (run[j],)
+        v = run[-1]
+
+
+def _sorted_runs(adj, root: int, block: int | None) -> Tuple[str, List[int]]:
+    """(encoding, preorder) of the tree rooted at `root`, without `block`'s
+    side: its AHU string, and its vertices in the preorder that visits each
+    vertex's children in the order of their encodings.
+
+    A vertex encodes as "(" + its children's encodings, sorted, + ")".  A
+    degree-2 vertex has one child, so a run of L+1 vertices ending at the
+    node y encodes as "(" * L + enc(y) + ")" * L, and its preorder is its
+    L degree-2 vertices and then y's.  Only nodes get a string, built in
+    reverse node order, so every run's end comes before the node it hangs
+    from, and each node's runs are sorted there; one pass over the sorted
+    runs from the root then lists the preorder.  Equal encodings keep their
+    runs in adjacency order, as a per-vertex AHU labelling that sorts each
+    vertex's children stably from adjacency order does.
+    """
+    nodes, kids = _run_tree(adj, root, block)
+    enc: Dict[int, str] = {}  # a leaf, not a node, encodes as "()"
+    for x in reversed(nodes):
+        # the runs start at distinct neighbours, increasing in adjacency
+        # order, so sorting (encoding, run) pairs keeps that order on ties
+        pairs = []
+        for run in kids[x]:
+            L = len(run) - 1
+            pairs.append(("(" * L + enc.pop(run[-1], "()") + ")" * L, run))
+        pairs.sort()
+        enc[x] = "(" + "".join([e for e, _ in pairs]) + ")"
+        kids[x] = [run for _, run in reversed(pairs)]  # popped last first
     order = [root]
-    up = [-1]
-    for i, v in enumerate(order):
-        ks = kids[v]
-        order += ks
-        up += [i] * len(ks)
-    return enc[root], order, up
+    stack = kids[root]
+    while stack:
+        run = stack.pop()
+        order += run
+        stack += kids.get(run[-1], ())
+    return enc[root], order
+
+
+# bytes.translate table: 1 at each "(" of an encoding, 0 at each ")"
+_OPENS = bytes.maketrans(b"()", b"\x01\x00")
+
+
+def canonical_runs(tree: Tree) -> Tuple[str, Tuple[int, ...]]:
+    """(key, run_order): the tree's canonical key and its vertices in a
+    canonical order, computed on first use and kept on the tree.
+
+    The tree is rooted at its centroid; a bicentroid tree is cut at the
+    central edge into two halves, each rooted at its centroid, the half
+    with the smaller encoding first.  run_order is each half's root and
+    then its runs in preorder, every node's runs in the order of their
+    encodings (`_sorted_runs`).  That order is fixed by the key up to ties
+    between equal encodings, which root isomorphic subtrees, so for trees
+    with the same key i -> run_order[i] matches their vertices under an
+    isomorphism.  `canonical_form` reads its labelling off run_order.
+    """
+    if tree._canon is None:
+        adj = tree._adj
+        cents = _centroid(tree)
+        if len(cents) == 1:
+            enc, run_order = _sorted_runs(adj, cents[0], None)
+            tree._canon = ("C" + enc, tuple(run_order), len(run_order))
+        else:
+            a, b = cents
+            (ea, oa), (eb, ob) = sorted(
+                [_sorted_runs(adj, a, b), _sorted_runs(adj, b, a)],
+                key=lambda half: half[0],
+            )
+            tree._canon = ("B" + ea + eb, tuple(oa + ob), len(oa))
+    return tree._canon[:2]
 
 
 def canonical_form(tree: Tree) -> Tuple[str, Tuple[int, ...], Tuple[int, ...]]:
@@ -381,28 +457,40 @@ def canonical_form(tree: Tree) -> Tuple[str, Tuple[int, ...], Tuple[int, ...]]:
     parent[i] is its parent's canonical index (-1 for i = 0), so the edges
     (i, parent[i]) for i >= 1 build the canonical tree, and i -> order[i] is
     an isomorphism from it onto this tree.  Isomorphic trees get the same
-    key and the same parent array.  The tree is rooted at its centroid; a
-    bicentroid tree is cut at the central edge into two halves, each rooted
-    at its centroid, the half with the smaller encoding first and its root
-    the parent of the other's.  Equal halves give the same array either way.
+    key and the same parent array.  The roots are `canonical_runs`', and
+    each half is labelled in BFS order, each vertex's children in the order
+    of their encodings; a bicentroid tree puts the half with the smaller
+    encoding first and its root as the parent of the other's.  Equal halves
+    give the same array either way.
+
+    The labelling is read off `canonical_runs`, with no walk of the tree:
+    - the key after its first letter is the halves' encodings, whose
+      opening brackets are run_order's vertices in turn; the j-th "(" at
+      index k follows j "(" and k - j ")", so it opens a vertex of depth
+      2j - k, as a half's brackets balance;
+    - run_order is a preorder, in which each vertex's subtree is an interval
+      starting at it, so the vertices of one depth in a half lie in BFS
+      order there, and a stable sort of the half by depth is its BFS order;
+    - in BFS order each vertex's children are consecutive and follow their
+      parents' order, so parent lists each id once per child it has: its
+      degree, less one for its parent or, at a bicentroid root, the other
+      root.
     """
     if tree._form is None:
-        cents = _centroid(tree)
-        if len(cents) == 1:
-            enc, order, up = _rooted_form(tree, cents[0])
-            tree._form = ("C" + enc, tuple(order), tuple(up))
-        else:
-            a, b = cents
-            (ea, oa, ua), (eb, ob, ub) = sorted(
-                [_rooted_form(tree, a, block=b), _rooted_form(tree, b, block=a)],
-                key=lambda half: half[0],
-            )
-            shift = len(oa)
-            tree._form = (
-                "B" + ea + eb,
-                tuple(oa + ob),
-                tuple(ua + [0] + [p + shift for p in ub[1:]]),
-            )
+        key, run_order = canonical_runs(tree)
+        half, n = tree._canon[2], len(run_order)
+        opens = compress(count(), key[1:].encode().translate(_OPENS))
+        depth = list(map(sub, count(0, 2), opens))
+        rank = sorted(range(half), key=depth.__getitem__)
+        rank += sorted(range(half, n), key=depth.__getitem__)
+        order = tuple(map(run_order.__getitem__, rank))
+        adj = tree._adj
+        parent = [-1]
+        for i, v in enumerate(order):
+            if i == half:
+                parent.append(0)
+            parent += [i] * (len(adj[v]) - (i > 0 or half < n))
+        tree._form = (key, order, tuple(parent))
     return tree._form
 
 
@@ -430,7 +518,7 @@ def parent_diameter(parent: Sequence[int]) -> int:
 
 def canonical_key(tree: Tree) -> str:
     """Canonical form rooted at the centroid; equal iff trees are isomorphic."""
-    return canonical_form(tree)[0]
+    return canonical_runs(tree)[0]
 
 
 def isomorphic(t1: Tree, t2: Tree) -> bool:

@@ -33,6 +33,7 @@ from treeburn.tree import (
     Tree,
     canonical_form,
     canonical_key,
+    canonical_runs,
     diameter,
     make_path,
     make_spider,
@@ -490,6 +491,37 @@ def test_stored_witness_answers_at_and_below_b(monkeypatch, fresh_memo):
     assert burning_number(t) == (b, sched)
 
 
+def order_keeping_copy(tree, rng):
+    """The same tree on random ids in the same relative order, so every
+    vertex's neighbours come in the same order as their originals'."""
+    ids = dict(zip(tree.vertices, sorted(rng.sample(range(10 * tree.order), tree.order))))
+    return Tree([(ids[a], ids[b]) for a, b in tree.edges]), ids
+
+
+def test_memo_hits_build_no_labelling(monkeypatch, fresh_memo, rng):
+    labelled = []
+    form = burning.canonical_form
+    monkeypatch.setattr(burning, "canonical_form", lambda u: labelled.append(u) or form(u))
+    trees = chain_trees((4, 5, 6, 7, 4, 5, 3, 2, 2))[:1] + branchy_trees(rng, 40, 8, 30)
+    for t in trees:
+        b, sched = burning_number(t)
+        del labelled[:]
+        key, run_order = canonical_runs(t)
+        for u, ids in [order_keeping_copy(t, rng), (relabelled(t, rng), None)]:
+            got, image = canonical_runs(u)
+            assert got == key
+            b_u, sched_u = burning_number(u)
+            assert b_u == b and verify_schedule(u, sched_u).is_burning_sequence
+            # the stored witness maps through the canonical isomorphism, which
+            # is the relabelling itself when it keeps every neighbour order
+            iso = dict(zip(run_order, image))
+            assert sched_u.sources == tuple(iso[x] for x in sched.sources), t.edges
+            if ids is not None:
+                assert sched_u.sources == tuple(ids[x] for x in sched.sources)
+            assert is_m_burnable(u, b) and not is_m_burnable(u, b - 1)
+        assert labelled == [], t.edges
+
+
 def test_decisions_never_write_the_memo(monkeypatch, rng):
     for t in branchy_trees(rng, 30, 8, 30):
         monkeypatch.setattr(burning, "_memo", {})
@@ -582,13 +614,13 @@ def test_cover_on_a_deep_tree_needs_no_recursion_per_level():
 
 
 def corrupt_stored_witness(tree):
-    """Solve `tree`, then replace its class's stored witness by canonical ids
-    that do not burn it."""
+    """Solve `tree`, then replace its class's stored witness by run-order
+    indices that do not burn it."""
     b, _ = burning_number(tree)
-    key, order, _ = canonical_form(tree)
+    key, run_order = canonical_runs(tree)
     bad = tuple(range(b))
     assert not verify_schedule(
-        tree, BurningSchedule(tuple(order[i] for i in bad))
+        tree, BurningSchedule(tuple(run_order[i] for i in bad))
     ).is_burning_sequence
     burning._memo[key] = bad
 

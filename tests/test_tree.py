@@ -1,3 +1,5 @@
+from typing import Dict, List, Tuple
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from treeburn.tree import (
     _centroid,
     canonical_form,
     canonical_key,
+    canonical_runs,
     diameter,
     isomorphic,
     make_path,
@@ -266,6 +269,166 @@ def test_canonical_form_is_a_labelling_shared_by_isomorphic_trees():
             checked += 1
         equal_halves += key.startswith("B") and len(set(_halves(key))) == 1
     assert checked >= 2000 and equal_halves >= 100
+
+
+def _reference_centroid(tree: Tree) -> Tuple[int, ...]:
+    """The one or two centroid vertices (minimising the max subtree size).
+
+    A vertex is a centroid iff removing it leaves no component of more than
+    n/2 vertices.  One BFS gives subtree sizes; from the root, step to the
+    child whose subtree holds more than n/2 vertices while there is one.  The
+    side above each step holds fewer than n/2, so the vertex reached is a
+    centroid, and a second one is its child with exactly n/2 below it.
+    """
+    adj = tree._adj
+    root = tree.vertices[0]
+    parent = {root: None}
+    order = [root]
+    for u in order:
+        for w in adj[u]:
+            if w != parent[u]:
+                parent[w] = u
+                order.append(w)
+    size = dict.fromkeys(order, 1)
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
+    n = tree.order
+    v = root
+    while True:
+        heavy = [w for w in adj[v] if w != parent[v] and 2 * size[w] >= n]
+        if not heavy or 2 * size[heavy[0]] == n:
+            return tuple(sorted([v] + heavy))
+        v = heavy[0]
+
+
+def _reference_rooted_form(
+    tree: Tree, root: int, block: int | None = None
+) -> Tuple[str, List[int], List[int]]:
+    """AHU string of the tree rooted at `root`, without `block`'s side, with
+    its vertices in canonical order and each one's parent index there (-1
+    for the root).
+
+    A vertex encodes as "(" + its children's encodings, sorted, + ")".  The
+    strings are built without recursion in reverse BFS order, so every child
+    comes before its parent, and each child's string is dropped once its
+    parent's is built.  The canonical order is the BFS order that visits
+    each vertex's children in the order of their encodings.  Children with
+    equal encodings root isomorphic subtrees, so how their tie is broken
+    does not change the parent array: isomorphic rooted trees get the same
+    one.
+    """
+    adj = tree._adj
+    kids = {root: [w for w in adj[root] if w != block]}
+    bfs = [root]
+    for v in bfs:
+        ks = kids[v]
+        bfs += ks
+        for w in ks:
+            k = kids[w] = list(adj[w])
+            k.remove(v)
+    enc: Dict[int, str] = {}
+    for v in reversed(bfs):
+        ks = kids[v]
+        # most vertices have at most one child; they skip the sort
+        if not ks:
+            enc[v] = "()"
+        elif len(ks) == 1:
+            enc[v] = "(" + enc.pop(ks[0]) + ")"
+        else:
+            ks.sort(key=enc.__getitem__)
+            enc[v] = "(" + "".join(map(enc.pop, ks)) + ")"
+    order = [root]
+    up = [-1]
+    for i, v in enumerate(order):
+        ks = kids[v]
+        order += ks
+        up += [i] * len(ks)
+    return enc[root], order, up
+
+
+def reference_canonical_form(tree: Tree) -> Tuple[str, Tuple[int, ...], Tuple[int, ...]]:
+    """Oracle for `canonical_form`: the per-vertex AHU labelling, one string
+    per vertex and a BFS from each centroid, with nothing kept on the tree.
+
+    The tree is rooted at its centroid; a bicentroid tree is cut at the
+    central edge into two halves, each rooted at its centroid, the half with
+    the smaller encoding first and its root the parent of the other's.
+    """
+    cents = _reference_centroid(tree)
+    if len(cents) == 1:
+        enc, order, up = _reference_rooted_form(tree, cents[0])
+        return ("C" + enc, tuple(order), tuple(up))
+    a, b = cents
+    (ea, oa, ua), (eb, ob, ub) = sorted(
+        [_reference_rooted_form(tree, a, block=b), _reference_rooted_form(tree, b, block=a)],
+        key=lambda half: half[0],
+    )
+    shift = len(oa)
+    return (
+        "B" + ea + eb,
+        tuple(oa + ob),
+        tuple(ua + [0] + [p + shift for p in ub[1:]]),
+    )
+
+
+def subdivided(tree, rng, longest):
+    """`tree` with each edge stretched into a run of 0..`longest` new
+    degree-2 vertices."""
+    fresh = max(tree.vertices) + 1
+    edges = []
+    for u, v in tree.edges:
+        k = rng.randint(0, longest)
+        path = [u, *range(fresh, fresh + k), v]
+        fresh += k
+        edges += zip(path, path[1:])
+    return Tree(edges, vertices=tree.vertices)
+
+
+def joined_through_a_path(half, v, inner):
+    """Two copies of `half` with the copies of v joined by a path through
+    `inner` new vertices; with `inner` even, the central edge lies inside
+    that path."""
+    shift = max(half.vertices) + 1
+    edges = list(half.edges) + [(a + shift, b + shift) for a, b in half.edges]
+    path = [v, *range(2 * shift, 2 * shift + inner), v + shift]
+    return Tree(edges + list(zip(path, path[1:])), vertices=[v, v + shift])
+
+
+def test_run_form_matches_the_per_vertex_labelling():
+    rng = random.Random(20261025)
+    trees = [random_tree(rng, rng.randint(1, 60)) for _ in range(600)]
+    trees += [make_path(n) for n in range(1, 61)]
+    trees += [make_spider([rng.randint(1, 9) for _ in range(rng.randint(3, 6))]) for _ in range(60)]
+    for _ in range(200):
+        topo = random_topology(rng, 5).tree
+        trees.append(subdivided(topo, rng, rng.choice([1, 4, 12])))
+    for _ in range(100):
+        half = random_tree(rng, rng.randint(1, 20))
+        trees.append(joined_through_a_path(half, rng.choice(half.vertices), 2 * rng.randint(1, 6)))
+    trees += [relabel(t, rng) for t in list(trees) for _ in range(2)]
+    in_run = central_in_run = 0
+    for t in trees:
+        want = reference_canonical_form(t)
+        assert canonical_form(t) == want, t.edges
+        assert canonical_key(t) == want[0] == canonical_runs(t)[0]
+        cents = _centroid(t)
+        in_run += len(cents) == 1 and t.degree(cents[0]) == 2
+        central_in_run += len(cents) == 2 and {t.degree(c) for c in cents} == {2}
+    assert in_run >= 200 and central_in_run >= 400, (in_run, central_in_run)
+
+
+def test_run_order_matches_isomorphic_trees():
+    rng = random.Random(20261026)
+    for _ in range(300):
+        t = subdivided(random_tree(rng, rng.randint(1, 25)), rng, 4)
+        key, run_order = canonical_runs(t)
+        assert sorted(run_order) == list(t.vertices)
+        for u in (relabel(t, rng), relabel(t, rng)):
+            got, image = canonical_runs(u)
+            assert got == key
+            # i -> image[i] after i -> run_order[i] is an isomorphism
+            iso = dict(zip(run_order, image))
+            assert {tuple(sorted((iso[a], iso[b]))) for a, b in t.edges} == set(u.edges)
 
 
 def _halves(key):
