@@ -8,16 +8,16 @@ Canonical sequences are built directly, block by block
 (`enumerate_canonical`), and `best_canonical` scores them as it builds them
 to find the extremal one, its order and sequence, without building a tree;
 `enumerate_admissible` with `is_canonical` is the brute-force reference.
-`induced_plan` computes the induced tree's paths, order and round sources
-afresh on each call and keeps nothing: `induce_tree` builds the tree from
-it, and `witness_schedule` reads the sources off it.
+`_layout` validates an `InducedSpec` and numbers its fresh vertices, and
+keeps nothing: `witness_schedule` reads the sources off that numbering in
+O(k + m), and `induced_plan` lays the paths out on it for `induce_tree`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, islice, product
+from itertools import product
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .tree import Tree
@@ -132,7 +132,7 @@ def signature(topology: Topology, seq: AdmissibleSequence) -> Dict[int, int]:
     sig = {}
     for i, block in enumerate(seq.blocks, start=1):
         for v in block.vertex_set:
-            sig[v] = topology.branch_distance(v, block.root) + i
+            sig[v] = topology.branch_distance(block.root, v) + i
     return sig
 
 
@@ -238,67 +238,65 @@ class InducedPlan(NamedTuple):
     sources: Tuple[int, ...]
 
 
-def induced_plan(spec: InducedSpec) -> InducedPlan:
-    """The induced tree's paths, order and sources.  The sequence is
-    validated by `signature`, and the placement as it is read."""
+def _layout(spec: InducedSpec):
+    """(sig, Stage 1, Stage 2, sorted placement, sources), validating the
+    sequence (`signature`), then m, then the placement.  Fresh ids follow
+    max(T): Stage-1 arm interiors, then internal ones (both sorted), then
+    per Stage-2 round i, by increasing i, 2(m-i)+1 ids centred on its
+    source.  So the sources cost O(k + m)."""
     topology, seq, m = spec.topology, spec.sequence, spec.m
     sig = signature(topology, seq)
     s1 = stage1_additions(topology, seq, m, sig)
     s2 = stage2_additions(seq, m)
-    fresh = count(max(topology.tree.vertices) + 1)
-
-    def take(k: int) -> List[int]:
-        return list(islice(fresh, k))
-
-    # Stage 1: arms then internal paths, in sorted order.
-    arm_paths: Dict[Tuple[int, int], List[int]] = {}
-    for v, leaf in topology.arms():
-        arm_paths[(v, leaf)] = [v] + take(s1.arm_counts[(v, leaf)]) + [leaf]
-    internal_paths: Dict[Tuple[int, int], List[int]] = {}
-    split_at: Dict[Tuple[int, int], int] = {}
-    for u, v in topology.internal_edges():
-        interior = take(s1.internal_counts[(u, v)])
-        internal_paths[(u, v)] = [u] + interior + [v]
-        # boundary between the coverage of u's source and v's source
-        split_at[(u, v)] = 1 + (m - sig[u]) if interior else 1
-    # Stage 2 placements.
-    if spec.placement is None:
-        placement = tuple((i, ("arm", min(arm_paths))) for i in s2.rounds)
-    else:
-        placement = spec.placement
-        if sorted(i for i, _ in placement) != list(s2.rounds):
-            raise ValueError(
-                f"placement rounds {sorted(i for i, _ in placement)} "
-                f"do not match the required rounds {list(s2.rounds)}"
-            )
-    sources: Dict[int, int] = {}
-    for i, block in enumerate(seq.trimmed().blocks, start=1):
-        if not block.empty:
-            sources[i] = block.root
-    for i, (kind, key) in sorted(placement):
-        size = 2 * (m - i) + 1
-        seg = take(size)
+    placement = spec.placement
+    if placement is None:
+        placement = [(i, ("arm", min(s1.arm_counts))) for i in s2.rounds]
+    elif sorted(i for i, _ in placement) != list(s2.rounds):
+        raise ValueError(
+            f"placement rounds {sorted(i for i, _ in placement)} "
+            f"do not match the required rounds {list(s2.rounds)}"
+        )
+    placement = sorted(placement)
+    sources = dict(enumerate((b.root for b in seq.trimmed().blocks), 1))
+    start = max(topology.tree.vertices) + 1 + s1.total
+    for i, (kind, key) in placement:
         if kind == "arm":
-            if key not in arm_paths:
+            if key not in s1.arm_counts:
                 raise ValueError(f"no arm {key}")
-            arm_paths[key].extend(seg)  # pendant extension beyond the tip
         elif kind == "internal":
-            if key not in internal_paths:
+            if key not in s1.internal_counts:
                 raise ValueError(f"no internal path {key}")
-            if len(internal_paths[key]) == 2:
+            if not s1.internal_counts[key]:
                 raise ValueError(
                     f"internal path {key} has length one and cannot be extended"
                 )
-            pos = split_at[key]
-            internal_paths[key][pos:pos] = seg
-            split_at[key] = pos  # later segments stack at the same boundary
         else:
             raise ValueError(f"unknown placement kind {kind!r}")
-        sources[i] = seg[m - i]
+        sources[i] = start + m - i
+        start += 2 * (m - i) + 1
+    return sig, s1, s2, placement, tuple(sources[i] for i in range(1, m + 1))
+
+
+def induced_plan(spec: InducedSpec) -> InducedPlan:
+    """The induced tree's paths, order and sources, on `_layout`'s ids."""
+    topology, m = spec.topology, spec.m
+    sig, s1, s2, placement, sources = _layout(spec)
+    fresh = max(topology.tree.vertices) + 1
+    paths = {}  # arm or internal edge -> path
+    for (u, v), n in [*s1.arm_counts.items(), *s1.internal_counts.items()]:
+        paths[(u, v)] = [u, *range(fresh, fresh + n), v]
+        fresh += n
+    for i, (kind, key) in placement:
+        seg = range(sources[i - 1] - m + i, sources[i - 1] + m - i + 1)
+        if kind == "arm":
+            paths[key].extend(seg)  # pendant extension beyond the tip
+        else:  # where u's source's coverage meets v's; later ones stack
+            at = 1 + m - sig[key[0]]
+            paths[key][at:at] = seg
     return InducedPlan(
-        paths=tuple(map(tuple, [*arm_paths.values(), *internal_paths.values()])),
+        paths=tuple(map(tuple, paths.values())),
         order=topology.tree.order + s1.total + s2.total,
-        sources=tuple(sources[i] for i in range(1, m + 1)),
+        sources=sources,
     )
 
 
@@ -310,23 +308,19 @@ def induce_tree(spec: InducedSpec) -> Tree:
 
 def witness_schedule(spec: InducedSpec, tree: Optional[Tree] = None) -> BurningSchedule:
     """Length-m burning sequence with block roots as the early sources and
-    segment centers for the remaining rounds.  Read off the plan; no tree is
-    built.  A given `tree` must have exactly the edges of the plan's paths."""
+    segment centers for the remaining rounds, read off `_layout` with no
+    path laid out.  A given `tree` must have `induced_plan`'s edges."""
+    if tree is None:
+        *_, sources = _layout(spec)
+        return BurningSchedule(sources=sources)
     plan = induced_plan(spec)
-    if tree is not None and tree.edges != tuple(
-        sorted(
-            (u, v) if u < v else (v, u)
-            for path in plan.paths
-            for u, v in zip(path, path[1:])
-        )
-    ):
+    edges = sorted(tuple(sorted(e)) for p in plan.paths for e in zip(p, p[1:]))
+    if tree.edges != tuple(edges):
         raise ValueError("tree was not produced by this spec")
     return BurningSchedule(sources=plan.sources)
 
 
-def _rooted_descendants(
-    topology: Topology, block: Block, v: int
-) -> frozenset:
+def _rooted_descendants(topology: Topology, block: Block, v: int) -> frozenset:
     """Vertices of the subtree of the block hanging at v (away from the root):
     the u whose path from the root passes through v."""
     d = topology.branch_distance

@@ -69,14 +69,22 @@ class Topology:
         return self._branch_nbrs[v]
 
     def branch_distance(self, u: int, v: int) -> int:
-        """Distance between branch vertices u and v, read from the tree's
-        `distances_from(u)`, kept per source u on first use.  It is also
-        their distance in the branch skeleton: with no degree-2 vertex,
-        every interior vertex of a path between two branch vertices is a
-        branch vertex."""
+        """Distance between branch vertices u and v; both must be branch
+        vertices.  One walk of the branch skeleton (`_branch_nbrs`, k
+        vertices, no leaf) from u, kept per source u on first use.  This is
+        their distance in the whole tree: with no degree-2 vertex, every
+        interior vertex of a path between two branch vertices is a branch
+        vertex, so that path lies in the skeleton."""
         dist = self._branch_dist.get(u)
         if dist is None:
-            dist = self._branch_dist[u] = self.tree.distances_from(u)
+            dist = self._branch_dist[u] = {u: 0}
+            stack = [u]
+            while stack:
+                x = stack.pop()
+                for w in self._branch_nbrs[x]:
+                    if w not in dist:
+                        dist[w] = dist[x] + 1
+                        stack.append(w)
         return dist[v]
 
     def skeleton(self) -> Tuple[tuple, tuple, tuple]:

@@ -56,6 +56,17 @@ def random_topology(rng: random.Random, max_branch: int = 5) -> Topology:
     return Topology(Tree(edges))
 
 
+def count_builds(monkeypatch):
+    """Count `Tree._built` and `admissible.induced_plan` calls."""
+    builds, plans = [], []
+    built, plan = Tree._built.__func__, adm.induced_plan
+    monkeypatch.setattr(
+        Tree, "_built", classmethod(lambda cls, paths: builds.append(1) or built(cls, paths))
+    )
+    monkeypatch.setattr(adm, "induced_plan", lambda spec: plans.append(1) or plan(spec))
+    return builds, plans
+
+
 def chain_images(v):
     """The images of a chain(3,3,3,3) length vector (arms A1 A2 B C D1 D2,
     then paths AB BC CD) under the chain's 8 automorphisms."""

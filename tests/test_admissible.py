@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,7 @@ import pytest
 from treeburn import admissible as adm
 from treeburn.admissible import AdmissibleSequence, Block, InducedSpec
 from treeburn.burning import burning_number, is_m_burnable, verify_schedule
-from treeburn.extremal import CHAIN_SEQUENCES, find_extremal
+from treeburn.extremal import CHAIN_SEQUENCES, TSHAPE_SEQUENCES, find_extremal
 from treeburn.tree import Tree
 from treeburn.topology import (
     Topology,
@@ -16,7 +19,7 @@ from treeburn.topology import (
     make_tshape_topology,
 )
 
-from conftest import random_topology
+from conftest import count_builds, random_topology
 
 
 CHAIN, CHAIN_LABELS = make_chain_topology(3, 3, 3, 3)
@@ -171,6 +174,72 @@ def test_witness_schedule_reads_the_plan(rng, monkeypatch):
         assert sched.sources == plan.sources and len(sched.sources) == m
         assert verify_schedule(tree, sched).is_burning_sequence
     assert built == []  # no tree is built to read the sources
+
+
+def test_witness_sources_equal_the_plans(rng):
+    # the closed-form numbering gives the sources the laid-out paths hold,
+    # under default, arm and internal placements, given in any order
+    kinds = set()
+    for _ in range(300):
+        topo = random_topology(rng, 5)
+        seqs = adm.enumerate_admissible(topo, 3)
+        s = seqs[rng.randrange(len(seqs))]
+        m = max(adm.signature(topo, s).values()) + rng.randint(1, 4)
+        placement = None
+        if rng.random() < 0.7:
+            placement = list(_random_placement(rng, topo, s, m))
+            rng.shuffle(placement)
+            placement = tuple(placement)
+            kinds.update(kind for _, (kind, _) in placement)
+        spec = InducedSpec(topology=topo, sequence=s, m=m, placement=placement)
+        assert adm.witness_schedule(spec).sources == adm.induced_plan(spec).sources
+    assert kinds == {"arm", "internal"}
+
+
+def test_witness_schedule_lays_out_no_path(monkeypatch, rng):
+    builds, plans = count_builds(monkeypatch)
+    for _ in range(50):
+        topo = random_topology(rng, 5)
+        k = len(topo.branch_vertices)
+        for m in (k + 1, k + 3):
+            res = find_extremal(topo, m)
+            placement = _random_placement(rng, topo, res.sequence, m)
+            for spec in (res.spec, InducedSpec(topo, res.sequence, m, placement)):
+                assert len(adm.witness_schedule(spec).sources) == m
+    assert (builds, plans) == ([], [])
+
+
+HUGE_WITNESS = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from treeburn import admissible as adm, find_extremal, make_chain_topology
+m = 100000
+res = find_extremal(make_chain_topology(3, 3, 3, 3)[0], m)
+start = time.perf_counter()
+sources = adm.witness_schedule(res.spec).sources
+seconds = time.perf_counter() - start
+print(seconds, res.order, len(set(sources)), sources[:6], sources[-1], sep="\\n")
+"""
+
+
+def test_witness_schedule_at_huge_m_is_closed_form():
+    # the winner's tree at m = 100000 has about 10**10 vertices; its m
+    # sources are read without laying it out, in a fresh interpreter
+    # limited to 1 GiB of address space
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_WITNESS],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(adm.__file__).parent.parent)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seconds, order, distinct, first, last = proc.stdout.splitlines()
+    assert float(seconds) < 2
+    assert (order, distinct) == ("10000399993", "100000")
+    # B and D are the block roots; the round-3 segment follows the Stage-1
+    # vertices, and round m's one-vertex segment is the last fresh id
+    assert (first, last) == ("(1, 3, 899986, 1099980, 1299972, 1499962)", "10000399992")
 
 
 def test_witness_schedule_rejects_bad_input():
@@ -335,6 +404,53 @@ def test_block_table_distances_match_branch_distance():
             for p in entries:
                 for i, d in p.offsets:
                     assert d == topo.branch_distance(branch[p.root], branch[i])
+
+
+def test_signature_matches_whole_tree_distances():
+    # branch_distance walks the skeleton; the oracle is a BFS over the
+    # whole topology tree, leaves included
+    rng = random.Random(23)
+    for _ in range(150):
+        topo = random_topology(rng, 6)
+        seqs = adm.enumerate_admissible(topo, 3)
+        s = seqs[rng.randrange(len(seqs))]
+        sig = adm.signature(topo, s)
+        for i, block in enumerate(s.blocks, start=1):
+            if block.empty:
+                continue
+            dist = topo.tree.distances_from(block.root)
+            for v in block.vertex_set:
+                assert sig[v] == dist[v] + i
+        for u in topo.branch_vertices:
+            dist = topo.tree.distances_from(u)
+            for v in topo.branch_vertices:
+                assert topo.branch_distance(u, v) == dist[v]
+
+
+def test_format_compact_orders_members_by_tree_distance():
+    # the written convention, with distances from a BFS over the whole tree
+    for shape, make, names in (
+        ("chain", make_chain_topology, CHAIN_SEQUENCES),
+        ("tshape", make_tshape_topology, TSHAPE_SEQUENCES),
+    ):
+        for degrees in itertools.product((3, 5), repeat=4):
+            topo, labels = make(*degrees)
+            letters = {v: name for name, v in labels.items()}
+            for name in names:
+                assert adm.format_compact(seq(name, labels), labels, topo) == name
+            for s in adm.enumerate_canonical(topo, 4):
+                want = []
+                for block in s.blocks:
+                    if block.empty:
+                        want.append("~")
+                        continue
+                    dist = topo.tree.distances_from(block.root)
+                    rest = sorted(
+                        block.vertex_set - {block.root}, key=lambda v: (dist[v], letters[v])
+                    )
+                    others = "".join(letters[v] for v in rest)
+                    want.append(letters[block.root] + ("_" + others if others else ""))
+                assert adm.format_compact(s, labels, topo) == ",".join(want), shape
 
 
 def test_block_table_memo_is_bounded():

@@ -426,6 +426,50 @@ def chain_trees(v):
     ]
 
 
+def exhaustive_cover(tree, radii):
+    """Whether balls of the given distinct radii cover `tree`, by exhaustive
+    search over `tree.dist` bitmasks: branch on every radius left and every
+    centre within that radius of the least uncovered vertex."""
+    vertices = tree.vertices
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    dist = tree.dist
+    ball = {
+        (c, r): sum(bit[v] for v, d in dist[c].items() if d <= r)
+        for c in vertices
+        for r in radii
+    }
+    failed = set()
+
+    def search(uncovered, left):
+        if not uncovered:
+            return True
+        if not left or (uncovered, left) in failed:
+            return False
+        u = vertices[(uncovered & -uncovered).bit_length() - 1]
+        for j, r in enumerate(left):
+            rest = left[:j] + left[j + 1:]
+            for c, d in dist[u].items():
+                if d <= r and search(uncovered & ~ball[c, r], rest):
+                    return True
+        failed.add((uncovered, left))
+        return False
+
+    return search((1 << len(vertices)) - 1, tuple(radii))
+
+
+def test_chain_orbit_with_burning_number_seven():
+    # an order-39 chain(3,3,3,3) tree, so b >= 6, whose b is 7: no cover by
+    # radii 5..0 exists and one by 6..0 does, found without the engine.  The
+    # chain-sweep benchmark's known answer, b = 6 for every such tree
+    # (`perfbench/workloads.py`), does not hold for this orbit.
+    tree = chain_trees((7, 4, 6, 5, 6, 6, 2, 1, 1))[0]
+    assert tree.order == 39
+    b, sched = burning_number(tree)
+    assert b == 7 and verify_schedule(tree, sched).is_burning_sequence
+    assert not exhaustive_cover(tree, range(5, -1, -1))
+    assert exhaustive_cover(tree, range(6, -1, -1))
+
+
 def relabelled(tree, rng):
     """The same tree on random, non-contiguous ids."""
     ids = dict(zip(tree.vertices, rng.sample(range(10 * tree.order), tree.order)))

@@ -158,6 +158,39 @@ def test_ext_search_at_huge_m_builds_no_tree():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "order=10000399993 seq=B_AC,D\n", "")
 
 
+def readme_induce_cap():
+    """The `adm induce` cap as the README's CLI section states it."""
+    text = (REPO / "README.md").read_text().split("## CLI", 1)[1]
+    found = re.search(r"more than 10([⁰¹²³⁴⁵⁶⁷⁸⁹]+) vertices \(`cli\.MAX_INDUCED_ORDER`", text)
+    return 10 ** int(found.group(1).translate(str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")))
+
+
+def test_adm_induce_refuses_a_huge_tree():
+    # the tree of order 10000399992 would print one edge a line; its order
+    # is read off the closed form and refused before any path is laid out
+    assert readme_induce_cap() == cli.MAX_INDUCED_ORDER
+    start = time.monotonic()
+    proc = run_in_one_gib(["adm", "induce", "chain3333", "--seq", "A_B,C_D", "-m", "100000"])
+    assert time.monotonic() - start < 30
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        f"error: induced tree has 10000399992 vertices, more than the "
+        f"{cli.MAX_INDUCED_ORDER} adm induce prints\n"
+    )
+
+
+def test_adm_induce_cap_is_inclusive(monkeypatch, capsys):
+    argv = ["adm", "induce", "chain3333", "--seq", "A_B,C_D", "-m", "6"]
+    monkeypatch.setattr(cli, "MAX_INDUCED_ORDER", 52)
+    code, out = capture(capsys, argv)
+    assert code == 0 and out.startswith("order=52\n")
+    monkeypatch.setattr(cli, "MAX_INDUCED_ORDER", 51)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: induced tree has 52 vertices, more than the 51")
+
+
 def test_python_m_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "treeburn.cli", "burn", "number", "path:9"],

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import chain_images, random_topology
+from conftest import chain_images, count_builds, random_topology
 from treeburn import admissible as adm
 from treeburn import extremal
 from treeburn.admissible import InducedSpec
@@ -235,19 +235,8 @@ def test_find_extremal_verify():
     assert res.maximal
 
 
-def _count_builds(monkeypatch):
-    """Count `Tree._built` and `admissible.induced_plan` calls."""
-    builds, plans = [], []
-    built, plan = Tree._built.__func__, adm.induced_plan
-    monkeypatch.setattr(
-        Tree, "_built", classmethod(lambda cls, paths: builds.append(1) or built(cls, paths))
-    )
-    monkeypatch.setattr(adm, "induced_plan", lambda spec: plans.append(1) or plan(spec))
-    return builds, plans
-
-
 def test_find_extremal_builds_the_tree_when_read(monkeypatch):
-    builds, plans = _count_builds(monkeypatch)
+    builds, plans = count_builds(monkeypatch)
     for m in (5, 6, 100000):
         res = find_extremal(CHAIN, m)
         assert (builds, plans) == ([], [])  # the search alone
@@ -266,7 +255,7 @@ def test_find_extremal_builds_the_tree_when_read(monkeypatch):
 def test_find_extremal_verify_builds_the_tree_once(monkeypatch):
     # the maximality check builds the subdivided trees, so the plans count
     # the induced trees
-    builds, plans = _count_builds(monkeypatch)
+    builds, plans = count_builds(monkeypatch)
     res = find_extremal(CHAIN, 5, verify=True)
     assert (res.burning_number, res.maximal) == (5, True)
     assert plans == [1]
