@@ -426,8 +426,10 @@ def _root_choices(groups: List[List[int]]) -> Iterator[Tuple[Block, ...]]:
 
 
 # Largest branch-vertex count the canonical construction accepts.  At
-# k = 10 one search takes about 1 s on the star-shaped skeleton, at k = 11
-# 3.4-4.8 s (Python 3.11, one core of a shared 2-core machine).
+# k = 10 one search, block table included, takes about 0.08 s on the
+# star-shaped skeleton and 0.1-0.2 s on paths, caterpillars and random
+# skeletons; at k = 11, 0.3-1.1 s (Python 3.11, one core of a shared 2-core
+# machine).
 MAX_BRANCH_VERTICES = 10
 
 
@@ -464,7 +466,7 @@ class _BlockTable:
         k = len(branch)
         if k > MAX_BRANCH_VERTICES:
             raise ValueError(
-                f"enumeration limited to {MAX_BRANCH_VERTICES} branch vertices"
+                f"the extremal search is limited to {MAX_BRANCH_VERTICES} branch vertices"
             )
         index = {v: i for i, v in enumerate(branch)}
         neighbors: List[List[int]] = [[] for _ in branch]
@@ -634,8 +636,7 @@ def best_canonical(topology: Topology, m: int) -> Tuple[int, AdmissibleSequence]
     - sum over arms sig v - sum over cross edges (sig u + sig v), with A
     the number of arms: m shifts every sequence's order by the same
     amount.  The search therefore scores at the least allowed degree
-    m0 = k + 1, where the bound below is tightest, and adds
-    (m - m0)(m + m0 + A - 2) to the winner's order.
+    m0 = k + 1 and adds (m - m0)(m + m0 + A - 2) to the winner's order.
 
     Rule 2c (`extremal._prune_tag`: roots of blocks i < j - 1 adjacent) is
     tested when block j is placed, against the roots of blocks
@@ -643,21 +644,35 @@ def best_canonical(topology: Topology, m: int) -> Tuple[int, AdmissibleSequence]
     fails in every completion, and each pair of roots is tested once, when
     the later one is placed: the test is exact.
 
-    Upper bound.  Let blocks 1 .. j - 1 be placed with score s.  In any
-    completion every unplaced v gets sig(v) >= j, and L >= j.  Every term
-    of the order is non-increasing in each signature and in L (as L <= k
-    < m), and an edge inside a block adds 0 <= 2m - sig u - sig v, since
-    every signature is at most k < m (block i holds at most k - i + 1
-    vertices).  Bounding each term at sig = j and L = j, the completion has
-    order at most
-    |T| + s + A_U (m - 1 - j) + sum_{placed w - unplaced v} (2m - j - sig w)
-    + E_UU (2m - 2j) + (m - j)^2,
-    where A_U counts the arms at unplaced vertices and E_UU the skeleton
-    edges between them.  A_U, E_UU and the count and sig-sum of the
-    placed-unplaced edges are carried down the recursion, so the bound
-    costs O(1) per prefix.  A prefix is cut only when its bound is strictly
-    below the best order found, so every sequence that ties the winner is
-    still compared by `sequence_key`.
+    Upper bound.  Let blocks 1 .. j - 1 be placed with score s.  Let U be
+    the unplaced set, n_U = |U|, A_U the arms at vertices of U, P the
+    skeleton edges from a placed w to an unplaced v, and E_UU the skeleton
+    edges inside U.  U spans a forest of the skeleton tree, so it has
+    q = n_U - E_UU components.  Take any completion, with blocks j .. L,
+    and let B = L - j + 1 be the number it adds.
+    - Blocks are connected, so each lies inside one component of U, and
+      q <= B <= n_U.  The B blocks keep n_U - B of U's edges inside them,
+      so exactly B - q edges of E_UU are cross-block edges.
+    - Only block j's root gets sig j; every other v in U gets
+      sig(v) >= j + 1.  So a cross edge inside U adds at most
+      2m - 2j - 1, and an edge inside a block adds nothing.
+    - v in U enters the arm and P terms w(v) = arms(v) + (placed
+      neighbours of v) times, each time with coefficient -1 on sig(v).
+      Priced at sig = j, every v other than block j's root is over-priced
+      by at least w(v), which sums to at least A_U + |P| - w_max, where
+      w_max is the largest w(v) over v in U.
+    - Stage 2 adds (m - L)^2 = (m - j + 1 - B)^2.
+    So the completion has order at most
+    |T| + s + A_U (m - 1 - j) + sum_{(w, v) in P} (2m - j - sig w)
+    - (A_U + |P| - w_max) + max_{q <= B <= n_U} g(B), with
+    g(B) = (B - q)(2m - 2j - 1) + (m - j + 1 - B)^2.
+    g is convex in B, so its maximum is max(g(q), g(n_U)).  A_U, E_UU, |P|
+    and the sig-sum of P are carried down the recursion, so everything but
+    w_max costs O(1) per prefix.  The search first tests the bound without
+    the term -(A_U + |P| - w_max), which is never positive, and scans U for
+    w_max only when that does not cut.  A prefix is cut only when its
+    bound is strictly below the best order found, so every sequence that
+    ties the winner is still compared by `sequence_key`.
 
     Memo.  The search reads only `Topology.skeleton`'s triple, and
     `_best_at_m0` keeps its result for the last `_SEARCH_MEMO` triples: one
@@ -747,11 +762,24 @@ def _best_at_m0(branch: tuple, skeleton: tuple, arms: tuple):
                 c_sig = cross_sig - s_placed + p.out_dist - d_placed + j * n_new
                 c_edges = free_edges - n_new - p.inner
                 c = j + 1
+                # U = free ^ mask has q components and takes q to n_free
+                # more blocks; only block c's root gets sig c ("Upper bound")
+                unplaced = free ^ mask
+                n_free = unplaced.bit_count()
+                q = n_free - c_edges
                 bound = (
-                    gained + c_arms * (m0 - 1 - c) + c_count * (two_m0 - c)
-                    - c_sig + c_edges * (two_m0 - 2 * c) + (m0 - c) ** 2
+                    gained + c_arms * (m0 - 1 - c) + c_count * (two_m0 - c) - c_sig
+                    + max((m0 - c + 1 - q) ** 2,
+                          c_edges * (two_m0 - 2 * c - 1) + (m0 - c + 1 - n_free) ** 2)
                 )
                 if bound < best_order:
+                    continue
+                placed = ~unplaced
+                w_max = max([
+                    arms[v] + (neighbor_bits[v] & placed).bit_count()
+                    for v in range(k) if unplaced >> v & 1
+                ])
+                if bound - (c_arms + c_count - w_max) < best_order:
                     continue
                 if rest is None:
                     rest = [b for b in candidates if not b & mask]
