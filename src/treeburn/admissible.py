@@ -10,7 +10,10 @@ to find the extremal one, its order and sequence, without building a tree;
 `enumerate_admissible` with `is_canonical` is the brute-force reference.
 `_layout` validates an `InducedSpec` and numbers its fresh vertices, and
 keeps nothing: `witness_schedule` reads the sources off that numbering in
-O(k + m), and `induced_plan` lays the paths out on it for `induce_tree`.
+O(|T| + m), |T| = k + A the topology's order (k branch vertices, A arms),
+with one walk per block to validate and sign the sequence and one sum over
+arms and skeleton edges for Stage 1; `induced_plan` lays the paths out on
+it for `induce_tree`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import AbstractSet, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .tree import Tree
 from .topology import Topology
@@ -79,61 +82,95 @@ def sequence_key(seq: AdmissibleSequence):
     )
 
 
-def validate(topology: Topology, seq: AdmissibleSequence) -> List[str]:
-    """Return the list of violated invariants (empty when the sequence is ok)."""
+def _walk(
+    topology: Topology, members: AbstractSet[int], root: int, i: int
+) -> Dict[int, int]:
+    """d(root, v) + i for every member v that a walk from `root` over
+    `Topology.branch_neighbors`, restricted to `members`, reaches.  The
+    members are connected iff it reaches all of them."""
+    neighbors = topology.branch_neighbors
+    reached = {root: i}
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        s = reached[x] + 1
+        for w in neighbors(x):
+            if w in members and w not in reached:
+                reached[w] = s
+                stack.append(w)
+    return reached
+
+
+def _check(
+    topology: Topology, seq: AdmissibleSequence
+) -> Tuple[List[str], Dict[int, int], Dict[int, int]]:
+    """(problems, block index, signature) in one pass over the blocks and
+    one `_walk` per block; the last two hold only when `problems` is
+    empty.  Block i reports each member that is not a branch vertex or is
+    in an earlier block, then, when every member is a branch vertex,
+    whether the walk from its root reaches every member; the unassigned
+    branch vertices come last."""
     problems = []
     branch = topology.branch_vertices
-    seen: Dict[int, int] = {}
+    where: Dict[int, int] = {}
+    sig: Dict[int, int] = {}
     for i, block in enumerate(seq.blocks, start=1):
-        for v in block.vertex_set:
+        members = block.vertex_set
+        for v in members:
             if v not in branch:
                 problems.append(f"block {i}: vertex {v} is not a branch vertex")
-            elif v in seen:
+            elif v in where:
                 problems.append(
-                    f"not a partition: vertex {v} in blocks {seen[v]} and {i}"
+                    f"not a partition: vertex {v} in blocks {where[v]} and {i}"
                 )
             else:
-                seen[v] = i
+                where[v] = i
         # a member outside the branch vertices is reported above; only a
         # block of branch vertices is tested for connectivity
-        if (
-            block.vertex_set
-            and block.vertex_set <= branch
-            and not _connected(topology, block.vertex_set)
-        ):
-            problems.append(f"block {i} not connected")
-    missing = branch - set(seen)
-    if missing:
-        problems.append(f"not a partition: {sorted(missing)} unassigned")
-    return problems
+        if members and members <= branch:
+            reached = _walk(topology, members, block.root, i)
+            if len(reached) < len(members):
+                problems.append(f"block {i} not connected")
+            sig.update(reached)
+    if len(where) < len(branch):
+        problems.append(f"not a partition: {sorted(branch - where.keys())} unassigned")
+    return problems, where, sig
+
+
+def validate(topology: Topology, seq: AdmissibleSequence) -> List[str]:
+    """Return the list of violated invariants (empty when the sequence is ok)."""
+    return _check(topology, seq)[0]
+
+
+def _signed(
+    topology: Topology, seq: AdmissibleSequence
+) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """(block index, signature) of a valid sequence; a ValueError joining
+    `validate`'s problems otherwise."""
+    problems, where, sig = _check(topology, seq)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return where, sig
 
 
 def ensure_valid(topology: Topology, seq: AdmissibleSequence) -> None:
-    problems = validate(topology, seq)
-    if problems:
-        raise ValueError("; ".join(problems))
-
-
-def _connected(topology: Topology, vertex_set: frozenset) -> bool:
-    start = next(iter(vertex_set))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in topology.branch_neighbors(stack.pop()):
-            if w in vertex_set and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vertex_set
+    _signed(topology, seq)
 
 
 def signature(topology: Topology, seq: AdmissibleSequence) -> Dict[int, int]:
-    """sig(v) = distance from v to its block root, plus the block index."""
-    ensure_valid(topology, seq)
-    sig = {}
-    for i, block in enumerate(seq.blocks, start=1):
-        for v in block.vertex_set:
-            sig[v] = topology.branch_distance(block.root, v) + i
-    return sig
+    """sig(v) = distance from v to its block root, plus the block index.
+
+    The distance is read off `_check`'s walk inside the block.  That is the
+    skeleton distance, hence the tree distance (`Topology.branch_distance`):
+    a connected vertex set of a tree contains the tree path between any two
+    of its vertices."""
+    return _signed(topology, seq)[1]
+
+
+def _require_degree(sig: Dict[int, int], m: int) -> None:
+    top = max(sig.values())
+    if m <= top:
+        raise ValueError(f"m must exceed the maximum signature {top}")
 
 
 def _block_index(seq: AdmissibleSequence) -> Dict[int, int]:
@@ -166,8 +203,7 @@ def stage1_additions(
     `sig`, and the sequence is then taken as valid."""
     if sig is None:
         sig = signature(topology, seq)
-    if m <= max(sig.values()):
-        raise ValueError(f"m must exceed the maximum signature {max(sig.values())}")
+    _require_degree(sig, m)
     where = _block_index(seq)
     arm_counts = {
         (v, leaf): m - sig[v] - 1 for v, leaf in topology.arms()
@@ -239,48 +275,61 @@ class InducedPlan(NamedTuple):
 
 
 def _layout(spec: InducedSpec):
-    """(sig, Stage 1, Stage 2, sorted placement, sources), validating the
-    sequence (`signature`), then m, then the placement.  Fresh ids follow
+    """(sig, sorted placement, sources), validating the sequence (as
+    `signature` does), then m, then the placement.  Fresh ids follow
     max(T): Stage-1 arm interiors, then internal ones (both sorted), then
     per Stage-2 round i, by increasing i, 2(m-i)+1 ids centred on its
-    source.  So the sources cost O(k + m)."""
+    source.  So the sources need only the Stage-1 total, summed here over
+    the arms and cross-block skeleton edges, and the Stage-2 rounds: the
+    empty blocks among the L blocks of the trimmed sequence, then L+1..m
+    (as `stage2_total` reads them)."""
     topology, seq, m = spec.topology, spec.sequence, spec.m
-    sig = signature(topology, seq)
-    s1 = stage1_additions(topology, seq, m, sig)
-    s2 = stage2_additions(seq, m)
+    where, sig = _signed(topology, seq)
+    _require_degree(sig, m)
+    stage1 = sum([m - 1 - sig[v] for v, _ in topology._arms])
+    for u, v in topology._internal_edges:
+        if where[u] != where[v]:
+            stage1 += 2 * m - sig[u] - sig[v]
+    blocks = seq.trimmed().blocks
+    rounds = [i for i, block in enumerate(blocks, 1) if block.empty]
+    rounds += range(len(blocks) + 1, m + 1)
     placement = spec.placement
-    if placement is None:
-        placement = [(i, ("arm", min(s1.arm_counts))) for i in s2.rounds]
-    elif sorted(i for i, _ in placement) != list(s2.rounds):
-        raise ValueError(
-            f"placement rounds {sorted(i for i, _ in placement)} "
-            f"do not match the required rounds {list(s2.rounds)}"
-        )
-    placement = sorted(placement)
-    sources = dict(enumerate((b.root for b in seq.trimmed().blocks), 1))
-    start = max(topology.tree.vertices) + 1 + s1.total
-    for i, (kind, key) in placement:
-        if kind == "arm":
-            if key not in s1.arm_counts:
-                raise ValueError(f"no arm {key}")
-        elif kind == "internal":
-            if key not in s1.internal_counts:
-                raise ValueError(f"no internal path {key}")
-            if not s1.internal_counts[key]:
-                raise ValueError(
-                    f"internal path {key} has length one and cannot be extended"
-                )
-        else:
-            raise ValueError(f"unknown placement kind {kind!r}")
-        sources[i] = start + m - i
+    if placement is None:  # on the least arm (`_arms` is sorted)
+        placement = [(i, ("arm", topology._arms[0])) for i in rounds]
+    else:
+        if sorted(i for i, _ in placement) != rounds:
+            raise ValueError(
+                f"placement rounds {sorted(i for i, _ in placement)} "
+                f"do not match the required rounds {rounds}"
+            )
+        placement = sorted(placement)
+        arms, edges = set(topology._arms), set(topology._internal_edges)
+        for _, (kind, key) in placement:
+            if kind == "arm":
+                if key not in arms:
+                    raise ValueError(f"no arm {key}")
+            elif kind == "internal":
+                if key not in edges:
+                    raise ValueError(f"no internal path {key}")
+                if where[key[0]] == where[key[1]]:
+                    raise ValueError(
+                        f"internal path {key} has length one and cannot be extended"
+                    )
+            else:
+                raise ValueError(f"unknown placement kind {kind!r}")
+    sources = [block.root for block in blocks] + [None] * (m - len(blocks))
+    start = max(topology.tree.vertices) + 1 + stage1
+    for i, _ in placement:
+        sources[i - 1] = start + m - i
         start += 2 * (m - i) + 1
-    return sig, s1, s2, placement, tuple(sources[i] for i in range(1, m + 1))
+    return sig, placement, tuple(sources)
 
 
 def induced_plan(spec: InducedSpec) -> InducedPlan:
     """The induced tree's paths, order and sources, on `_layout`'s ids."""
     topology, m = spec.topology, spec.m
-    sig, s1, s2, placement, sources = _layout(spec)
+    sig, placement, sources = _layout(spec)
+    s1 = stage1_additions(topology, spec.sequence, m, sig)
     fresh = max(topology.tree.vertices) + 1
     paths = {}  # arm or internal edge -> path
     for (u, v), n in [*s1.arm_counts.items(), *s1.internal_counts.items()]:
@@ -295,7 +344,7 @@ def induced_plan(spec: InducedSpec) -> InducedPlan:
             paths[key][at:at] = seg
     return InducedPlan(
         paths=tuple(map(tuple, paths.values())),
-        order=topology.tree.order + s1.total + s2.total,
+        order=topology.tree.order + s1.total + stage2_total(spec.sequence, m),
         sources=sources,
     )
 
@@ -414,7 +463,9 @@ def _assignments(topology: Topology, branch, length) -> Iterator[Tuple[int, ...]
         groups: Dict[int, set] = {}
         for v, idx in zip(branch, assignment):
             groups.setdefault(idx, set()).add(v)
-        if all(_connected(topology, frozenset(g)) for g in groups.values()):
+        if all(
+            len(_walk(topology, g, next(iter(g)), 0)) == len(g) for g in groups.values()
+        ):
             yield assignment
 
 
@@ -674,6 +725,21 @@ def best_canonical(topology: Topology, m: int) -> Tuple[int, AdmissibleSequence]
     bound is strictly below the best order found, so every sequence that
     ties the winner is still compared by `sequence_key`.
 
+    A cut ends the block's loop over roots.  For one member set S at
+    index j, write a(r) = sum over v in S of arms(v) d(r, v) and o(r) the
+    sum of d(r, v) over the skeleton edges from v in S to w outside S.
+    The block's gain is -a(r) - d_P(r) plus terms free of r, with d_P(r)
+    the part of o(r) on edges to placed w.  A complete S has every such w
+    placed, so its order is free of r but for -(a(r) + o(r)).  Otherwise
+    the other edges join P for the child and add their d(r, v) to its
+    sig-sum, which the bound subtracts: -(o(r) - d_P(r)).  The count and
+    sig-sum of placed neighbours, A_U, |P|, E_UU and w_max do not depend
+    on r, so the bound too is free of r but for -(a(r) + o(r)).  The
+    search tries S's roots by increasing (a + o, root); a root that is
+    cut leaves every later one a bound or order no larger, and the best
+    order only grows, so every later root would be cut too.  The site test
+    and rule 2c depend on r otherwise, and only skip it.
+
     Memo.  The search reads only `Topology.skeleton`'s triple, and
     `_best_at_m0` keeps its result for the last `_SEARCH_MEMO` triples: one
     search serves every m and every topology with that labelled skeleton.
@@ -702,14 +768,13 @@ def _best_at_m0(branch: tuple, skeleton: tuple, arms: tuple):
     table = _block_table(branch, skeleton)
     k = table.k
     # per block, the arms at its members; per placement, the sum over
-    # members v of arms(v) * d(root, v)
-    placements = {
-        mask: (
-            sum([arms[i] for i, _ in entries[0].offsets]),
-            [(p, sum([arms[i] * d for i, d in p.offsets])) for p in entries],
-        )
-        for mask, entries in table.placements.items()
-    }
+    # members v of arms(v) * d(root, v), the placements sorted so that a
+    # strict cut ends the block's loop ("Upper bound")
+    placements = {}
+    for mask, entries in table.placements.items():
+        scored = [(p, sum([arms[i] * d for i, d in p.offsets])) for p in entries]
+        scored.sort(key=lambda e: (e[1] + e[0].out_dist, e[0].root))
+        placements[mask] = (sum([arms[i] for i, _ in entries[0].offsets]), scored)
     m0 = k + 1  # the degree the search scores at
     # larger blocks first: the one-block sequence scores high, so the bound
     # starts cutting at once
@@ -746,6 +811,8 @@ def _best_at_m0(branch: tuple, skeleton: tuple, arms: tuple):
                 )
                 if complete:
                     order = gained + (m0 - j) ** 2
+                    if order < best_order:
+                        break
                     if order > best_order:
                         best_order, best, best_key = order, stack + [p], None
                     elif order == best_order:
@@ -773,14 +840,14 @@ def _best_at_m0(branch: tuple, skeleton: tuple, arms: tuple):
                           c_edges * (two_m0 - 2 * c - 1) + (m0 - c + 1 - n_free) ** 2)
                 )
                 if bound < best_order:
-                    continue
+                    break
                 placed = ~unplaced
                 w_max = max([
                     arms[v] + (neighbor_bits[v] & placed).bit_count()
                     for v in range(k) if unplaced >> v & 1
                 ])
                 if bound - (c_arms + c_count - w_max) < best_order:
-                    continue
+                    break
                 if rest is None:
                     rest = [b for b in candidates if not b & mask]
                 for i, d in p.offsets:

@@ -197,7 +197,21 @@ def test_witness_sources_equal_the_plans(rng):
 
 
 def test_witness_schedule_lays_out_no_path(monkeypatch, rng):
+    # nor does it list the Stage-1 counts or the Stage-2 rounds, or walk
+    # the skeleton once per block root
     builds, plans = count_builds(monkeypatch)
+    calls = []
+    for name in ("stage1_additions", "stage2_additions"):
+        real = getattr(adm, name)
+        monkeypatch.setattr(
+            adm, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a)
+        )
+    distance = Topology.branch_distance
+    monkeypatch.setattr(
+        Topology,
+        "branch_distance",
+        lambda self, u, v: calls.append("branch_distance") or distance(self, u, v),
+    )
     for _ in range(50):
         topo = random_topology(rng, 5)
         k = len(topo.branch_vertices)
@@ -205,7 +219,9 @@ def test_witness_schedule_lays_out_no_path(monkeypatch, rng):
             res = find_extremal(topo, m)
             placement = _random_placement(rng, topo, res.sequence, m)
             for spec in (res.spec, InducedSpec(topo, res.sequence, m, placement)):
+                calls.clear()
                 assert len(adm.witness_schedule(spec).sources) == m
+                assert calls == []
     assert (builds, plans) == ([], [])
 
 
@@ -404,6 +420,113 @@ def test_block_table_distances_match_branch_distance():
             for p in entries:
                 for i, d in p.offsets:
                     assert d == topo.branch_distance(branch[p.root], branch[i])
+
+
+def _connected(topology, vertex_set):
+    start = next(iter(vertex_set))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in topology.branch_neighbors(stack.pop()):
+            if w in vertex_set and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == vertex_set
+
+
+def _oracle_validate(topology, s):
+    """`validate` as a partition check plus a connectivity search per
+    block, apart from the signature."""
+    problems = []
+    branch = topology.branch_vertices
+    seen = {}
+    for i, block in enumerate(s.blocks, start=1):
+        for v in block.vertex_set:
+            if v not in branch:
+                problems.append(f"block {i}: vertex {v} is not a branch vertex")
+            elif v in seen:
+                problems.append(f"not a partition: vertex {v} in blocks {seen[v]} and {i}")
+            else:
+                seen[v] = i
+        if (
+            block.vertex_set
+            and block.vertex_set <= branch
+            and not _connected(topology, block.vertex_set)
+        ):
+            problems.append(f"block {i} not connected")
+    missing = branch - set(seen)
+    if missing:
+        problems.append(f"not a partition: {sorted(missing)} unassigned")
+    return problems
+
+
+def _oracle_signature(topology, s):
+    """`signature` from a BFS over the whole topology tree per block root."""
+    problems = _oracle_validate(topology, s)
+    if problems:
+        raise ValueError("; ".join(problems))
+    sig = {}
+    for i, block in enumerate(s.blocks, start=1):
+        if block.vertex_set:
+            dist = topology.tree.distances_from(block.root)
+            for v in block.vertex_set:
+                sig[v] = dist[v] + i
+    return sig
+
+
+def _mangled(rng, topo):
+    """A random sequence over `topo`, valid or not: an admissible one with
+    empty blocks inserted, a member moved, repeated or dropped, or random
+    blocks that may hold leaves and ids outside the tree."""
+    seqs = adm.enumerate_admissible(topo, 3)
+    groups = [set(b.vertex_set) for b in seqs[rng.randrange(len(seqs))].blocks]
+    branch = sorted(topo.branch_vertices)
+    kind = rng.randrange(6)
+    if kind == 1:  # move a member to another block, new or old
+        v = rng.choice(branch)
+        next(g for g in groups if v in g).discard(v)
+        groups.append(set())
+        rng.choice(groups).add(v)
+    elif kind == 2:  # repeat a member in another block
+        rng.choice(groups).add(rng.choice(branch))
+    elif kind == 3:  # drop a member
+        v = rng.choice(branch)
+        next(g for g in groups if v in g).discard(v)
+    elif kind == 4:  # random blocks over every vertex, and one id beyond
+        pool = sorted(topo.tree.vertices) + [max(topo.tree.vertices) + 1]
+        groups = [
+            set(rng.sample(pool, rng.randint(1, min(4, len(pool)))))
+            for _ in range(rng.randint(1, 4))
+        ]
+    for _ in range(rng.randint(0, 2)):
+        groups.insert(rng.randrange(len(groups) + 1), set())
+    return AdmissibleSequence(tuple(
+        Block(frozenset(g), rng.choice(sorted(g))) if g else adm.EMPTY_BLOCK
+        for g in groups
+    ))
+
+
+def test_validate_and_signature_match_the_oracle():
+    # one walk per block checks connectivity and gives the signature; the
+    # oracle checks with a search of its own and signs with a whole-tree BFS
+    rng = random.Random(29)
+    seen = {"valid": 0}
+    for _ in range(1000):
+        topo = random_topology(rng, 5)
+        s = _mangled(rng, topo)
+        want = _oracle_validate(topo, s)
+        assert adm.validate(topo, s) == want, s
+        for text in want:
+            for kind in ("branch vertex", "in blocks", "connected", "unassigned"):
+                seen[kind] = seen.get(kind, 0) + (kind in text)
+        if want:
+            with pytest.raises(ValueError) as err:
+                adm.signature(topo, s)
+            assert str(err.value) == "; ".join(want)
+        else:
+            seen["valid"] += 1
+            assert adm.signature(topo, s) == _oracle_signature(topo, s)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_signature_matches_whole_tree_distances():
