@@ -13,7 +13,8 @@ keeps nothing: `witness_schedule` reads the sources off that numbering in
 O(|T| + m), |T| = k + A the topology's order (k branch vertices, A arms),
 with one walk per block to validate and sign the sequence and one sum over
 arms and skeleton edges for Stage 1; `induced_plan` lays the paths out on
-it for `induce_tree`.
+it for `induce_tree`.  `_walk` is the one walk of the skeleton: signatures,
+reductions, the brute-force enumeration and the block tables all use it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import AbstractSet, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Container, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .tree import Tree
 from .topology import Topology
@@ -83,12 +84,11 @@ def sequence_key(seq: AdmissibleSequence):
 
 
 def _walk(
-    topology: Topology, members: AbstractSet[int], root: int, i: int
+    neighbors: Callable, members: Container[int], root: int, i: int
 ) -> Dict[int, int]:
     """d(root, v) + i for every member v that a walk from `root` over
-    `Topology.branch_neighbors`, restricted to `members`, reaches.  The
-    members are connected iff it reaches all of them."""
-    neighbors = topology.branch_neighbors
+    `neighbors(x)`, restricted to `members`, reaches.  The members are
+    connected iff it reaches all of them."""
     reached = {root: i}
     stack = [root]
     while stack:
@@ -128,7 +128,7 @@ def _check(
         # a member outside the branch vertices is reported above; only a
         # block of branch vertices is tested for connectivity
         if members and members <= branch:
-            reached = _walk(topology, members, block.root, i)
+            reached = _walk(topology.branch_neighbors, members, block.root, i)
             if len(reached) < len(members):
                 problems.append(f"block {i} not connected")
             sig.update(reached)
@@ -153,17 +153,13 @@ def _signed(
     return where, sig
 
 
-def ensure_valid(topology: Topology, seq: AdmissibleSequence) -> None:
-    _signed(topology, seq)
-
-
 def signature(topology: Topology, seq: AdmissibleSequence) -> Dict[int, int]:
     """sig(v) = distance from v to its block root, plus the block index.
 
-    The distance is read off `_check`'s walk inside the block.  That is the
-    skeleton distance, hence the tree distance (`Topology.branch_distance`):
-    a connected vertex set of a tree contains the tree path between any two
-    of its vertices."""
+    The distance is read off `_walk` inside the block, the one skeleton
+    walk.  It is the tree distance: the skeleton holds the tree path between
+    two branch vertices (no vertex has degree 2), and a connected vertex set
+    of a tree holds the path between any two of its vertices."""
     return _signed(topology, seq)[1]
 
 
@@ -171,12 +167,6 @@ def _require_degree(sig: Dict[int, int], m: int) -> None:
     top = max(sig.values())
     if m <= top:
         raise ValueError(f"m must exceed the maximum signature {top}")
-
-
-def _block_index(seq: AdmissibleSequence) -> Dict[int, int]:
-    return {
-        v: i for i, b in enumerate(seq.blocks, start=1) for v in b.vertex_set
-    }
 
 
 @dataclass(frozen=True)
@@ -193,40 +183,32 @@ class Stage2Additions:
 
 
 def stage1_additions(
-    topology: Topology,
-    seq: AdmissibleSequence,
-    m: int,
-    sig: Optional[Dict[int, int]] = None,
+    topology: Topology, seq: AdmissibleSequence, m: int
 ) -> Stage1Additions:
     """Arm extensions m - sig(v) - 1 and cross-block internal extensions
-    2m - sig(v) - sig(v').  A caller holding the signature passes it as
-    `sig`, and the sequence is then taken as valid."""
-    if sig is None:
-        sig = signature(topology, seq)
+    2m - sig(v) - sig(v')."""
+    where, sig = _signed(topology, seq)
     _require_degree(sig, m)
-    where = _block_index(seq)
-    arm_counts = {
-        (v, leaf): m - sig[v] - 1 for v, leaf in topology.arms()
+    arm_counts = {(v, leaf): m - sig[v] - 1 for v, leaf in topology._arms}
+    internal_counts = {
+        (u, v): 2 * m - sig[u] - sig[v] if where[u] != where[v] else 0
+        for u, v in topology._internal_edges
     }
-    internal_counts = {}
-    for u, v in topology.internal_edges():
-        if where[u] != where[v]:
-            internal_counts[(u, v)] = 2 * m - sig[u] - sig[v]
-        else:
-            internal_counts[(u, v)] = 0
     total = sum(arm_counts.values()) + sum(internal_counts.values())
     return Stage1Additions(arm_counts=arm_counts, internal_counts=internal_counts, total=total)
 
 
+def _stage2_rounds(blocks: Tuple[Block, ...], m: int) -> List[int]:
+    """The Stage-2 rounds of a trimmed sequence's `blocks`: every i <= m
+    whose block is empty or beyond the sequence, in increasing order."""
+    rounds = [i for i, block in enumerate(blocks, 1) if i <= m and block.empty]
+    rounds += range(len(blocks) + 1, m + 1)
+    return rounds
+
+
 def stage2_additions(seq: AdmissibleSequence, m: int) -> Stage2Additions:
-    """One segment of 2(m-i)+1 vertices for every round i <= m whose block is
-    empty or beyond the sequence."""
-    trimmed = seq.trimmed()
-    rounds = tuple(
-        i
-        for i in range(1, m + 1)
-        if i > trimmed.length or trimmed.blocks[i - 1].empty
-    )
+    """One segment of 2(m-i)+1 vertices for every Stage-2 round i."""
+    rounds = tuple(_stage2_rounds(seq.trimmed().blocks, m))
     return Stage2Additions(rounds=rounds, total=sum(2 * (m - i) + 1 for i in rounds))
 
 
@@ -280,9 +262,8 @@ def _layout(spec: InducedSpec):
     max(T): Stage-1 arm interiors, then internal ones (both sorted), then
     per Stage-2 round i, by increasing i, 2(m-i)+1 ids centred on its
     source.  So the sources need only the Stage-1 total, summed here over
-    the arms and cross-block skeleton edges, and the Stage-2 rounds: the
-    empty blocks among the L blocks of the trimmed sequence, then L+1..m
-    (as `stage2_total` reads them)."""
+    the arms and cross-block skeleton edges, and the Stage-2 rounds
+    (`_stage2_rounds`)."""
     topology, seq, m = spec.topology, spec.sequence, spec.m
     where, sig = _signed(topology, seq)
     _require_degree(sig, m)
@@ -291,8 +272,7 @@ def _layout(spec: InducedSpec):
         if where[u] != where[v]:
             stage1 += 2 * m - sig[u] - sig[v]
     blocks = seq.trimmed().blocks
-    rounds = [i for i, block in enumerate(blocks, 1) if block.empty]
-    rounds += range(len(blocks) + 1, m + 1)
+    rounds = _stage2_rounds(blocks, m)
     placement = spec.placement
     if placement is None:  # on the least arm (`_arms` is sorted)
         placement = [(i, ("arm", topology._arms[0])) for i in rounds]
@@ -329,7 +309,7 @@ def induced_plan(spec: InducedSpec) -> InducedPlan:
     """The induced tree's paths, order and sources, on `_layout`'s ids."""
     topology, m = spec.topology, spec.m
     sig, placement, sources = _layout(spec)
-    s1 = stage1_additions(topology, spec.sequence, m, sig)
+    s1 = stage1_additions(topology, spec.sequence, m)
     fresh = max(topology.tree.vertices) + 1
     paths = {}  # arm or internal edge -> path
     for (u, v), n in [*s1.arm_counts.items(), *s1.internal_counts.items()]:
@@ -369,20 +349,24 @@ def witness_schedule(spec: InducedSpec, tree: Optional[Tree] = None) -> BurningS
     return BurningSchedule(sources=plan.sources)
 
 
-def _rooted_descendants(topology: Topology, block: Block, v: int) -> frozenset:
+def _rooted_descendants(
+    topology: Topology, block: Block, v: int, sig: Dict[int, int]
+) -> frozenset:
     """Vertices of the subtree of the block hanging at v (away from the root):
-    the u whose path from the root passes through v."""
-    d = topology.branch_distance
-    r = block.root
-    return frozenset(u for u in block.vertex_set if d(r, u) == d(r, v) + d(v, u))
+    the u whose path from the root passes through v.  Within the block sig
+    is the depth below the root plus a constant, so they are what a walk
+    from v reaches through the members deeper than v."""
+    deeper = {u for u in block.vertex_set if sig[u] > sig[v]}
+    below = _walk(topology.branch_neighbors, deeper, v, 0)
+    return frozenset(u for u in block.vertex_set if u in below)  # block order
 
 
 def _reduction_sites(
-    topology: Topology, seq: AdmissibleSequence, sig: Dict[int, int]
+    topology: Topology, where: Dict[int, int], sig: Dict[int, int]
 ) -> Iterator[Tuple[int, int, int, int]]:
     """(i, j, v, w) with w in block i adjacent to v in block j, i < j, and
-    sig(v) = sig(w) + 1, in lexicographic (i, j, v) order."""
-    where = _block_index(seq)
+    sig(v) = sig(w) + 1, in lexicographic (i, j, v) order; `where` and
+    `sig` are `_signed`'s block index and signature."""
     sites = []
     for v in sorted(topology.branch_vertices):
         j = where[v]
@@ -397,11 +381,11 @@ def reduce_once(
     topology: Topology, seq: AdmissibleSequence
 ) -> Optional[AdmissibleSequence]:
     """Apply one reduction (lexicographically smallest site) or return None."""
-    sig = signature(topology, seq)
-    for i, j, v, w in _reduction_sites(topology, seq, sig):
+    where, sig = _signed(topology, seq)
+    for i, j, v, w in _reduction_sites(topology, where, sig):
         block_i = seq.blocks[i - 1]
         block_j = seq.blocks[j - 1]
-        moved = _rooted_descendants(topology, block_j, v)
+        moved = _rooted_descendants(topology, block_j, v, sig)
         new_i = Block(vertex_set=block_i.vertex_set | moved, root=block_i.root)
         remaining = block_j.vertex_set - moved
         if remaining:
@@ -417,8 +401,7 @@ def reduce_once(
 
 def is_canonical(topology: Topology, seq: AdmissibleSequence) -> bool:
     """True iff no reduction applies."""
-    sig = signature(topology, seq)
-    return next(_reduction_sites(topology, seq, sig), None) is None
+    return next(_reduction_sites(topology, *_signed(topology, seq)), None) is None
 
 
 def canonicalize(topology: Topology, seq: AdmissibleSequence) -> AdmissibleSequence:
@@ -464,7 +447,8 @@ def _assignments(topology: Topology, branch, length) -> Iterator[Tuple[int, ...]
         for v, idx in zip(branch, assignment):
             groups.setdefault(idx, set()).add(v)
         if all(
-            len(_walk(topology, g, next(iter(g)), 0)) == len(g) for g in groups.values()
+            len(_walk(topology.branch_neighbors, g, next(iter(g)), 0)) == len(g)
+            for g in groups.values()
         ):
             yield assignment
 
@@ -528,25 +512,19 @@ class _BlockTable:
         self.k = k
         self.full = (1 << k) - 1
         self.neighbor_bits = bits = tuple(sum(1 << w for w in nb) for nb in neighbors)
-        dist = []  # one search of the skeleton tree per branch vertex
-        for s in range(k):
-            d = [-1] * k
-            d[s] = 0
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for w in neighbors[x]:
-                    if d[w] < 0:
-                        d[w] = d[x] + 1
-                        stack.append(w)
-            dist.append(d)
+        # one walk of the skeleton tree per branch vertex
+        step, everyone = neighbors.__getitem__, range(k)
+        dist = [_walk(step, everyone, s, 0) for s in everyone]
         self.placements: Dict[int, List[_Placement]] = {}
+        # inner[mask]: skeleton edges inside mask; the skeleton is a tree, so
+        # a vertex set is connected iff it spans |set| - 1 of them
+        inner = [0] * (self.full + 1)
         for mask in range(1, self.full + 1):
-            members = [i for i in range(k) if mask >> i & 1]
-            # the skeleton is a tree, so a vertex set is connected iff it
-            # spans |set| - 1 skeleton edges
-            if sum((bits[i] & mask).bit_count() for i in members) != 2 * len(members) - 2:
+            low = mask & -mask
+            inner[mask] = inner[mask ^ low] + (bits[low.bit_length() - 1] & mask).bit_count()
+            if inner[mask] != mask.bit_count() - 1:
                 continue
+            members = [i for i in everyone if mask >> i & 1]
             out = [(i, w) for i in members for w in neighbors[i] if not mask >> w & 1]
             entries = self.placements[mask] = []
             for r in members:
@@ -910,19 +888,21 @@ def format_compact(
     seq: AdmissibleSequence, labels: Dict[str, int], topology: Topology
 ) -> str:
     """Inverse of parse_compact.  Block members are listed by distance from
-    the root (the usual written convention), ties by name.  Every vertex of
-    the sequence needs a label; ValueError names those without one."""
+    the root (the usual written convention), that is by signature, ties by
+    name.  Every vertex of the sequence needs a label; ValueError names
+    those without one, and `signature` rejects an invalid sequence."""
     names = {v: k for k, v in labels.items()}
     unnamed = sorted(v for b in seq.blocks for v in b.vertex_set if v not in names)
     if unnamed:
         raise ValueError(f"no label for branch vertices {unnamed}")
+    sig = signature(topology, seq)
     parts = []
     for block in seq.trimmed().blocks:
         if block.empty:
             parts.append("~")
             continue
         members = [v for v in block.vertex_set if v != block.root]
-        members.sort(key=lambda v: (topology.branch_distance(block.root, v), names[v]))
+        members.sort(key=lambda v: (sig[v], names[v]))
         others = "".join(names[v] for v in members)
         parts.append(names[block.root] + ("_" + others if others else ""))
     return ",".join(parts)

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .tree import (
@@ -747,6 +748,12 @@ def is_maximally_m_burnable(tree: Tree, m: int) -> bool:
     return True
 
 
+# The most partitions `spider.verify_min_diameter` (5-50 us each at n = 3..6,
+# m = 3..7, CPython 3.11 on a shared 2-core x86 machine: about a minute) and
+# `ln_estimate` (over its whole m-range) walk.
+MAX_PARTITIONS = 10**6
+
+
 def _partitions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
     """Non-increasing partitions of `total` into exactly `parts` positive
     parts, in decreasing lexicographic order.  Iterative,
@@ -775,18 +782,28 @@ def _partitions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
 
 
 def _partition_count(total: int, parts: int) -> int:
-    """How many partitions `_partitions(total, parts)` yields, in
-    O(parts * (total - parts)) steps.  Taking one from each part leaves the
-    partitions of total - parts into at most `parts` parts, which by
-    conjugation are those into parts of size at most `parts`; the
-    recurrence adds the part sizes one at a time."""
+    """How many partitions `_partitions(total, parts)` yields, or
+    MAX_PARTITIONS + 1 for any count above the cap.  Taking one from each
+    part leaves the partitions of r = total - parts into parts of size at
+    most s = min(parts, r) (by conjugation).  For s <= 2 there are r // 2 + 1
+    (or one); for s >= 3 at least r^2 / 12, so r <= 3464 below the cap.
+    The recurrence adds the sizes one at a time to r + 1 counts held at the
+    cap, and stops once the count, which only grows, passes it."""
+    over = MAX_PARTITIONS + 1
     if parts < 1 or total < parts:
         return 0
     rest = total - parts
-    ways = [1] + [0] * rest
-    for size in range(1, min(parts, rest) + 1):
+    sizes = min(parts, rest)
+    if sizes <= 2:
+        return min(rest // 2 + 1, over) if sizes == 2 else 1
+    if rest**2 > 12 * MAX_PARTITIONS:
+        return over
+    ways = [1] * (rest + 1)  # parts of size 1 only
+    for size in range(2, sizes + 1):
         for j in range(size, rest + 1):
-            ways[j] += ways[j - size]
+            ways[j] = min(ways[j] + ways[j - size], over)
+        if ways[rest] == over:
+            break
     return ways[rest]
 
 
@@ -796,6 +813,12 @@ def ln_estimate(n: int, m_range: Sequence[int]) -> LnEstimate:
     by a counterexample forest at L-1 when one exists."""
     if n < 2:
         raise ValueError("n must be at least 2")
+    # the partitions to test over the whole m-range, counted up to the cap
+    counts = accumulate(_partition_count(m * m, n) for m in m_range)
+    if any(c > MAX_PARTITIONS for c in counts):
+        raise ValueError(
+            f"more than {MAX_PARTITIONS} path-length partitions to test, the most allowed"
+        )
     per_m: Dict[int, int] = {}
     counterexamples: Dict[int, Optional[Tuple[int, ...]]] = {}
     vacuous = []

@@ -338,11 +338,12 @@ def _cmd_spider_balanced(args) -> int:
 
 
 def _cmd_spider_verify(args) -> int:
-    target = spider.min_diameter(args.n, args.m)  # rejects m outside 3..2n-1
-    # the walk's size: every leg-length partition of the extremal order
-    total = spider.extremal_order(args.n, args.m) - 1
-    print(f"partitions {burning._partition_count(total, args.n)}", file=sys.stderr)
-    ok = spider.verify_min_diameter(args.n, args.m)
+    # the walk's size: every leg-length partition of the extremal order,
+    # counted once and refused above the cap before it is printed
+    total, count = spider._leg_partitions(args.n, args.m)
+    print(f"partitions {count}", file=sys.stderr)
+    target = spider.min_diameter(args.n, args.m)
+    ok = spider._walk_legs(args.n, args.m, total)
     fields = [
         ("min_diameter", str(target)),
         ("confirmed", str(ok).lower()),

@@ -329,12 +329,10 @@ def verify_tables(
         topo, labels, seqs = case_sequences(case)
         a, b, c, d = case.degrees
         expected_name = four_branch_lookup(case)
-        # the signatures, and the validation they run, do not depend on m
-        sigs = {name: adm.signature(topo, seq) for name, seq in seqs.items()}
         for m in m_grid:
             orders = table[(case.degrees, m)] = {}
             for name, seq in seqs.items():
-                s1 = adm.stage1_additions(topo, seq, m, sigs[name]).total
+                s1 = adm.stage1_additions(topo, seq, m).total
                 s2 = adm.stage2_total(seq, m)
                 orders[name] = topo.tree.order + s1 + s2  # induced_order
                 count = s1 if shape == "chain" else s1 + s2

@@ -108,24 +108,32 @@ def min_diameter_witness(n: int, m: int) -> Tuple[SpiderProfile, BurningSchedule
     return profile, witness_schedule(profile, m)
 
 
-# The most leg-length partitions `verify_min_diameter` walks.  Each costs
-# 5-50 us (n = 3..6, m = 3..7, CPython 3.11 on a shared 2-core x86
-# machine), so a walk within the cap ends in about a minute at most.
-MAX_PARTITIONS = 10**6
+def _leg_partitions(n: int, m: int) -> Tuple[int, int]:
+    """(total, count): an extremal n-spider's legs at m sum to total, and
+    `verify_min_diameter` tests the count partitions of it into n legs.  A
+    ValueError refuses m outside 3..2n-1 and more than
+    `burning.MAX_PARTITIONS` partitions."""
+    min_diameter(n, m)
+    total = extremal_order(n, m) - 1
+    count = burning._partition_count(total, n)
+    if count > burning.MAX_PARTITIONS:
+        raise ValueError(
+            f"more than {burning.MAX_PARTITIONS} leg-length partitions to test, "
+            "the most allowed"
+        )
+    return total, count
 
 
 def verify_min_diameter(n: int, m: int) -> bool:
     """Exhaustively confirm some extremal spider attains diameter 6m - 10 and
     none beats it.  Every leg-length partition of the extremal order is tested
-    directly, not just the tiling-derived ones; a ValueError refuses a walk
-    of more than `MAX_PARTITIONS` partitions."""
+    directly, not just the tiling-derived ones, after `_leg_partitions` has
+    counted them (and refused too many)."""
+    return _walk_legs(n, m, _leg_partitions(n, m)[0])
+
+
+def _walk_legs(n: int, m: int, total: int) -> bool:
     target = min_diameter(n, m)
-    total = extremal_order(n, m) - 1
-    count = burning._partition_count(total, n)
-    if count > MAX_PARTITIONS:
-        raise ValueError(
-            f"{count} leg-length partitions to test, more than the {MAX_PARTITIONS} allowed"
-        )
     attained = False
     for lengths in _partitions(total, n):
         prof = SpiderProfile(arm_lengths=tuple(sorted(lengths)))

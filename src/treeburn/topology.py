@@ -38,7 +38,6 @@ class Topology:
             v: tuple(w for w in tree.neighbors(v) if w in self.branch_vertices)
             for v in branch
         }
-        self._branch_dist: Dict[int, Dict[int, int]] = {}
         self._skeleton: Tuple[tuple, tuple, tuple] | None = None
         self._arms = tuple(
             sorted(
@@ -67,25 +66,6 @@ class Topology:
     def branch_neighbors(self, v: int) -> Tuple[int, ...]:
         """The branch vertices adjacent to the branch vertex v."""
         return self._branch_nbrs[v]
-
-    def branch_distance(self, u: int, v: int) -> int:
-        """Distance between branch vertices u and v; both must be branch
-        vertices.  One walk of the branch skeleton (`_branch_nbrs`, k
-        vertices, no leaf) from u, kept per source u on first use.  This is
-        their distance in the whole tree: with no degree-2 vertex, every
-        interior vertex of a path between two branch vertices is a branch
-        vertex, so that path lies in the skeleton."""
-        dist = self._branch_dist.get(u)
-        if dist is None:
-            dist = self._branch_dist[u] = {u: 0}
-            stack = [u]
-            while stack:
-                x = stack.pop()
-                for w in self._branch_nbrs[x]:
-                    if w not in dist:
-                        dist[w] = dist[x] + 1
-                        stack.append(w)
-        return dist[v]
 
     def skeleton(self) -> Tuple[tuple, tuple, tuple]:
         """Sorted branch ids, sorted skeleton edges (u < w) and each branch

@@ -73,7 +73,7 @@ def test_validate_catches_errors():
     )
     assert any("connected" in e for e in adm.validate(CHAIN, bad2))
     with pytest.raises(ValueError):
-        adm.ensure_valid(CHAIN, bad2)
+        adm.signature(CHAIN, bad2)
 
 
 def test_signature_chain():
@@ -197,8 +197,7 @@ def test_witness_sources_equal_the_plans(rng):
 
 
 def test_witness_schedule_lays_out_no_path(monkeypatch, rng):
-    # nor does it list the Stage-1 counts or the Stage-2 rounds, or walk
-    # the skeleton once per block root
+    # nor does it list the Stage-1 counts or the Stage-2 rounds
     builds, plans = count_builds(monkeypatch)
     calls = []
     for name in ("stage1_additions", "stage2_additions"):
@@ -206,12 +205,6 @@ def test_witness_schedule_lays_out_no_path(monkeypatch, rng):
         monkeypatch.setattr(
             adm, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a)
         )
-    distance = Topology.branch_distance
-    monkeypatch.setattr(
-        Topology,
-        "branch_distance",
-        lambda self, u, v: calls.append("branch_distance") or distance(self, u, v),
-    )
     for _ in range(50):
         topo = random_topology(rng, 5)
         k = len(topo.branch_vertices)
@@ -409,8 +402,9 @@ def test_block_table_built_once_per_labelled_skeleton(monkeypatch):
     assert len(builds) == 2
 
 
-def test_block_table_distances_match_branch_distance():
-    # the two distance tables are computed apart; each checks the other
+def test_block_table_distances_match_tree_distances():
+    # the table walks the skeleton; the oracle is a BFS over the whole
+    # topology tree, leaves included
     rng = random.Random(19)
     for _ in range(60):
         topo = random_topology(rng, 7)
@@ -418,8 +412,9 @@ def test_block_table_distances_match_branch_distance():
         table = adm._block_table(branch, skeleton)
         for entries in table.placements.values():
             for p in entries:
+                dist = topo.tree.distances_from(branch[p.root])
                 for i, d in p.offsets:
-                    assert d == topo.branch_distance(branch[p.root], branch[i])
+                    assert d == dist[branch[i]]
 
 
 def _connected(topology, vertex_set):
@@ -530,8 +525,8 @@ def test_validate_and_signature_match_the_oracle():
 
 
 def test_signature_matches_whole_tree_distances():
-    # branch_distance walks the skeleton; the oracle is a BFS over the
-    # whole topology tree, leaves included
+    # the signature walks the skeleton; the oracle is a BFS over the whole
+    # topology tree, leaves included
     rng = random.Random(23)
     for _ in range(150):
         topo = random_topology(rng, 6)
@@ -544,10 +539,6 @@ def test_signature_matches_whole_tree_distances():
             dist = topo.tree.distances_from(block.root)
             for v in block.vertex_set:
                 assert sig[v] == dist[v] + i
-        for u in topo.branch_vertices:
-            dist = topo.tree.distances_from(u)
-            for v in topo.branch_vertices:
-                assert topo.branch_distance(u, v) == dist[v]
 
 
 def test_format_compact_orders_members_by_tree_distance():
@@ -598,7 +589,7 @@ def test_induced_tree_burning_number_is_m():
 def test_reduction_example():
     # <A_BC, ~, ~, D> reduces toward <A_BCD>
     s = seq("A_BC,~,~,D")
-    sites = list(adm._reduction_sites(CHAIN, s, adm.signature(CHAIN, s)))
+    sites = list(adm._reduction_sites(CHAIN, *adm._signed(CHAIN, s)))
     assert sites
     reduced = adm.canonicalize(CHAIN, s)
     assert adm.sequences_equal(reduced, seq("A_BCD"))
@@ -619,6 +610,60 @@ def test_reductions_preserve_signature_and_order():
             assert adm.signature(CHAIN, r) == sig
             assert adm.induced_order(CHAIN, r, m) == order
             cur = r
+
+
+def _oracle_reduce_once(topology, s):
+    """`reduce_once` with the subtree rule stated by distances: block j
+    gives block i the u with d(r, u) = d(r, v) + d(v, u), r its root, all
+    three by BFS over the whole topology tree."""
+    sig = _oracle_signature(topology, s)
+    where = {v: i for i, b in enumerate(s.blocks, start=1) for v in b.vertex_set}
+    sites = sorted(
+        (where[w], where[v], v, w)
+        for v in topology.branch_vertices
+        for w in topology.branch_neighbors(v)
+        if where[w] < where[v] and sig[v] == sig[w] + 1
+    )
+    if not sites:
+        return None
+    i, j, v, _ = sites[0]
+    block_i, block_j = s.blocks[i - 1], s.blocks[j - 1]
+    d = topology.tree.dist
+    r = block_j.root
+    moved = frozenset(u for u in block_j.vertex_set if d[r][u] == d[r][v] + d[v][u])
+    blocks = list(s.blocks)
+    blocks[i - 1] = Block(block_i.vertex_set | moved, block_i.root)
+    rest = block_j.vertex_set - moved
+    blocks[j - 1] = Block(rest, block_j.root) if rest else adm.EMPTY_BLOCK
+    return AdmissibleSequence(blocks=tuple(blocks))
+
+
+def test_reduction_calculus_matches_the_distance_oracle():
+    # at least 300 valid sequences, with and without empty blocks
+    rng = random.Random(30)
+    seen = {"sequences": 0, "empty block": 0, "reducible": 0, "multi-vertex move": 0}
+    for _ in range(120):
+        topo = random_topology(rng, 6)
+        k = len(topo.branch_vertices)
+        seqs = adm.enumerate_admissible(topo, min(k + 1, 4))
+        for s in rng.sample(seqs, min(4, len(seqs))):
+            if rng.random() < 0.3:  # trailing empty blocks
+                s = AdmissibleSequence(blocks=s.blocks + (adm.EMPTY_BLOCK,) * 2)
+            seen["sequences"] += 1
+            seen["empty block"] += any(b.empty for b in s.blocks)
+            want = _oracle_reduce_once(topo, s)
+            assert adm.reduce_once(topo, s) == want, s
+            assert adm.is_canonical(topo, s) == (want is None)
+            if want is not None:
+                seen["reducible"] += 1
+                seen["multi-vertex move"] += any(
+                    len(a.vertex_set - b.vertex_set) > 1 for a, b in zip(want.blocks, s.blocks)
+                )
+            current = s
+            while (reduced := _oracle_reduce_once(topo, current)) is not None:
+                current = reduced
+            assert adm.canonicalize(topo, s) == current
+    assert seen["sequences"] >= 300 and min(seen.values()) >= 30, seen
 
 
 def test_canonical_unique_per_signature():

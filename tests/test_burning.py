@@ -1074,6 +1074,20 @@ def test_partition_count_matches_the_walk():
             assert burning._partition_count(total, parts) == want, (total, parts)
 
 
+def test_partition_count_stops_at_the_cap():
+    # exact up to the cap, MAX_PARTITIONS + 1 past it, with no table of
+    # `total` entries: partitions into at most 2 parts number r // 2 + 1,
+    # into at most 3 round((r + 3)^2 / 12), r = total - parts
+    cap = burning.MAX_PARTITIONS
+    for r in (2 * cap - 3, 2 * cap - 2, 2 * cap - 1, 2 * cap, 10**10):
+        assert burning._partition_count(r + 2, 2) == min(r // 2 + 1, cap + 1), r
+    for r in range(3455, 3475):
+        want = (r + 3) ** 2 // 12 + ((r + 3) ** 2 % 12 >= 6)
+        assert burning._partition_count(r + 3, 3) == min(want, cap + 1), r
+    assert burning._partition_count(200004, 100000) == cap + 1
+    assert burning._partition_count(400, 10) == cap + 1
+
+
 def _partitions(total, parts):
     if parts == 1:
         yield (total,)

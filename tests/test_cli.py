@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from treeburn import admissible as adm, burning, cli, spider
+from treeburn import admissible as adm, burning, cli
 from treeburn.cli import run
 from treeburn.topology import LengthAssignment, expand, make_chain_topology
 
@@ -449,21 +449,51 @@ def test_spider_verify_min_diameter_reports_the_walk_size(capsys):
 
 def test_spider_verify_min_diameter_refuses_a_huge_walk():
     # p(1204) ~ 5.3e34 partitions of 2404 into 1200 legs are refused at
-    # once; the 2,611 of -n 5 -m 6 are under the cap and still walked
-    start = time.monotonic()
-    proc = run_in_one_gib(["spider", "verify-min-diameter", "-n", "1200", "-m", "3"])
-    assert time.monotonic() - start < 30
-    count = burning._partition_count(2404, 1200)
-    assert count > spider.MAX_PARTITIONS
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr.startswith(f"partitions {count}\nerror: ")
-    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 2
+    # once, before a count is printed, and so are those of 200004 into
+    # 100000 legs, whose full count would take about 5e9 steps; the 2,611
+    # of -n 5 -m 6 are under the cap and still walked
+    assert readme_partition_cap("spider verify-min-diameter") == burning.MAX_PARTITIONS
+    for n in (1200, 100000):
+        start = time.monotonic()
+        proc = run_in_one_gib(["spider", "verify-min-diameter", "-n", str(n), "-m", "3"])
+        assert time.monotonic() - start < 5
+        assert burning._partition_count(2 * n + 4, n) == burning.MAX_PARTITIONS + 1
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", PARTITION_REFUSAL % "leg")
     proc = run_in_one_gib(["spider", "verify-min-diameter", "-n", "5", "-m", "6"])
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0,
         "min_diameter=26 confirmed=true\n",
         "partitions 2611\n",
     )
+
+
+PARTITION_REFUSAL = (
+    f"error: more than {burning.MAX_PARTITIONS} %s-length partitions to test, the most allowed\n"
+)
+
+
+def readme_partition_cap(command):
+    """The partition cap as the README's CLI section states it for `command`."""
+    text = (REPO / "README.md").read_text().split("## CLI", 1)[1]
+    paragraph = next(p for p in text.split("\n\n") if p.startswith(f"`{command}`"))
+    found = re.search(
+        r"more than\s+10([⁰¹²³⁴⁵⁶⁷⁸⁹]+)\s+partitions[^(]*\(`burning\.MAX_PARTITIONS`", paragraph
+    )
+    return 10 ** int(found.group(1).translate(str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")))
+
+
+def test_forest_ln_refuses_a_huge_walk(capsys):
+    # 2.9e11 partitions of 400 into 10 paths at m = 20; and at n = 3 every
+    # m of 3..45 is under the cap, but the whole range is not
+    assert readme_partition_cap("forest ln") == burning.MAX_PARTITIONS
+    start = time.monotonic()
+    proc = run_in_one_gib(["forest", "ln", "-n", "10", "--m-range", "20..20"])
+    assert time.monotonic() - start < 5
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", PARTITION_REFUSAL % "path")
+    counts = [burning._partition_count(m * m, 3) for m in range(3, 46)]
+    assert max(counts) <= burning.MAX_PARTITIONS < sum(counts)
+    assert run(["forest", "ln", "-n", "3", "--m-range", "3..45"]) == 1
+    assert capsys.readouterr() == ("", PARTITION_REFUSAL % "path")
 
 
 def test_tsv_format(capsys):

@@ -212,11 +212,10 @@ def _completion_bound(topo, prefix, m):
     of `prefix`, computed from the prefix's signatures alone, with the
     maximum over the block count B taken by trying every B."""
     j = len(prefix) + 1  # the next block's index
-    sig = {
-        v: topo.branch_distance(block.root, v) + i
-        for i, block in enumerate(prefix, start=1)
-        for v in block.vertex_set
-    }
+    sig = {}
+    for i, block in enumerate(prefix, start=1):
+        dist = topo.tree.distances_from(block.root)
+        sig.update((v, dist[v] + i) for v in block.vertex_set)
     block_of = {v: i for i, block in enumerate(prefix) for v in block.vertex_set}
     arms = {
         v: topo.tree.degree(v) - len(topo.branch_neighbors(v))
