@@ -19,7 +19,6 @@ reductions, the brute-force enumeration and the block tables all use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Container, Dict, Iterator, List, NamedTuple, Optional, Tuple
@@ -32,19 +31,23 @@ from .burning import BurningSchedule
 EMPTY_TOKENS = {"~", "0", "empty"}
 
 
-@dataclass(frozen=True)
-class Block:
-    """A rooted set of branch vertices; empty blocks have no root."""
-
+class _BlockFields(NamedTuple):
     vertex_set: frozenset
     root: Optional[int]
 
-    def __post_init__(self):
-        if self.vertex_set:
-            if self.root is None or self.root not in self.vertex_set:
+
+class Block(_BlockFields):
+    """A rooted set of branch vertices; empty blocks have no root."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertex_set: frozenset, root: Optional[int]) -> "Block":
+        if vertex_set:
+            if root is None or root not in vertex_set:
                 raise ValueError("nonempty block needs a root from its vertex set")
-        elif self.root is not None:
+        elif root is not None:
             raise ValueError("empty block cannot have a root")
+        return _BlockFields.__new__(cls, vertex_set, root)
 
     @property
     def empty(self) -> bool:
@@ -54,8 +57,7 @@ class Block:
 EMPTY_BLOCK = Block(frozenset(), None)
 
 
-@dataclass(frozen=True)
-class AdmissibleSequence:
+class AdmissibleSequence(NamedTuple):
     blocks: Tuple[Block, ...]
 
     @property
@@ -169,15 +171,13 @@ def _require_degree(sig: Dict[int, int], m: int) -> None:
         raise ValueError(f"m must exceed the maximum signature {top}")
 
 
-@dataclass(frozen=True)
-class Stage1Additions:
+class Stage1Additions(NamedTuple):
     arm_counts: Dict[Tuple[int, int], int]
     internal_counts: Dict[Tuple[int, int], int]
     total: int
 
 
-@dataclass(frozen=True)
-class Stage2Additions:
+class Stage2Additions(NamedTuple):
     rounds: Tuple[int, ...]
     total: int
 
@@ -187,7 +187,13 @@ def stage1_additions(
 ) -> Stage1Additions:
     """Arm extensions m - sig(v) - 1 and cross-block internal extensions
     2m - sig(v) - sig(v')."""
-    where, sig = _signed(topology, seq)
+    return _stage1(topology, *_signed(topology, seq), m)
+
+
+def _stage1(
+    topology: Topology, where: Dict[int, int], sig: Dict[int, int], m: int
+) -> Stage1Additions:
+    """`stage1_additions` from `_signed`'s block index and signature."""
     _require_degree(sig, m)
     arm_counts = {(v, leaf): m - sig[v] - 1 for v, leaf in topology._arms}
     internal_counts = {
@@ -206,9 +212,17 @@ def _stage2_rounds(blocks: Tuple[Block, ...], m: int) -> List[int]:
     return rounds
 
 
+def _stage2_blocks(seq: AdmissibleSequence, m: int) -> Tuple[Block, ...]:
+    """The trimmed blocks both Stage-2 counts read; a ValueError for m < 0,
+    where no round list or closed form is meant."""
+    if m < 0:
+        raise ValueError(f"m must be at least 0, got {m}")
+    return seq.trimmed().blocks
+
+
 def stage2_additions(seq: AdmissibleSequence, m: int) -> Stage2Additions:
     """One segment of 2(m-i)+1 vertices for every Stage-2 round i."""
-    rounds = tuple(_stage2_rounds(seq.trimmed().blocks, m))
+    rounds = tuple(_stage2_rounds(_stage2_blocks(seq, m), m))
     return Stage2Additions(rounds=rounds, total=sum(2 * (m - i) + 1 for i in rounds))
 
 
@@ -218,7 +232,7 @@ def stage2_total(seq: AdmissibleSequence, m: int) -> int:
     With L the trimmed length capped at m, the rounds L+1..m contribute
     the odd numbers 2(m-i)+1 = 1, 3, ..., 2(m-L)-1, which sum to (m-L)^2;
     every empty block i <= L adds its own 2(m-i)+1."""
-    blocks = seq.trimmed().blocks[:m]
+    blocks = _stage2_blocks(seq, m)[:m]
     return (m - len(blocks)) ** 2 + sum(
         2 * (m - i) + 1 for i, block in enumerate(blocks, start=1) if block.empty
     )
@@ -236,8 +250,7 @@ def induced_order(topology: Topology, seq: AdmissibleSequence, m: int) -> int:
 Location = Tuple[str, Tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class InducedSpec:
+class InducedSpec(NamedTuple):
     topology: Topology
     sequence: AdmissibleSequence
     m: int
@@ -257,13 +270,13 @@ class InducedPlan(NamedTuple):
 
 
 def _layout(spec: InducedSpec):
-    """(sig, sorted placement, sources), validating the sequence (as
-    `signature` does), then m, then the placement.  Fresh ids follow
-    max(T): Stage-1 arm interiors, then internal ones (both sorted), then
-    per Stage-2 round i, by increasing i, 2(m-i)+1 ids centred on its
-    source.  So the sources need only the Stage-1 total, summed here over
-    the arms and cross-block skeleton edges, and the Stage-2 rounds
-    (`_stage2_rounds`)."""
+    """(block index, sig, sorted placement, sources), validating the
+    sequence (as `signature` does), then m, then the placement.  Fresh ids
+    follow max(T): Stage-1 arm interiors, then internal ones (both
+    sorted), then per Stage-2 round i, by increasing i, 2(m-i)+1 ids
+    centred on its source.  So the sources need only the Stage-1 total,
+    summed here over the arms and cross-block skeleton edges, and the
+    Stage-2 rounds (`_stage2_rounds`)."""
     topology, seq, m = spec.topology, spec.sequence, spec.m
     where, sig = _signed(topology, seq)
     _require_degree(sig, m)
@@ -302,14 +315,15 @@ def _layout(spec: InducedSpec):
     for i, _ in placement:
         sources[i - 1] = start + m - i
         start += 2 * (m - i) + 1
-    return sig, placement, tuple(sources)
+    return where, sig, placement, tuple(sources)
 
 
 def induced_plan(spec: InducedSpec) -> InducedPlan:
-    """The induced tree's paths, order and sources, on `_layout`'s ids."""
+    """The induced tree's paths, order and sources, on `_layout`'s ids; the
+    sequence is validated once, there."""
     topology, m = spec.topology, spec.m
-    sig, placement, sources = _layout(spec)
-    s1 = stage1_additions(topology, spec.sequence, m)
+    where, sig, placement, sources = _layout(spec)
+    s1 = _stage1(topology, where, sig, m)
     fresh = max(topology.tree.vertices) + 1
     paths = {}  # arm or internal edge -> path
     for (u, v), n in [*s1.arm_counts.items(), *s1.internal_counts.items()]:

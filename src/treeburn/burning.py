@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .tree import (
     Tree,
@@ -53,8 +52,7 @@ from .tree import (
 from . import topology as topo_mod
 
 
-@dataclass(frozen=True)
-class BurningSchedule:
+class BurningSchedule(NamedTuple):
     """Ordered burning sources x_1..x_m."""
 
     sources: Tuple[int, ...]
@@ -64,8 +62,7 @@ class BurningSchedule:
         return len(self.sources)
 
 
-@dataclass(frozen=True)
-class NeighborhoodCover:
+class NeighborhoodCover(NamedTuple):
     """Associated neighbourhoods N_{m-i}[x_i] and the derived flags."""
 
     neighborhoods: Tuple[frozenset, ...]
@@ -80,21 +77,24 @@ class NeighborhoodCover:
         return self.covers_all and self.distance_ok
 
 
-@dataclass(frozen=True)
-class PathForest:
-    """Disjoint union of paths, stored as the list of path orders."""
-
+class _PathForestFields(NamedTuple):
     path_orders: Tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.path_orders:
+
+class PathForest(_PathForestFields):
+    """Disjoint union of paths, stored as the list of path orders."""
+
+    __slots__ = ()
+
+    def __new__(cls, path_orders: Tuple[int, ...]) -> "PathForest":
+        if not path_orders:
             raise ValueError("a path forest needs at least one path")
-        if any(p < 1 for p in self.path_orders):
+        if any(p < 1 for p in path_orders):
             raise ValueError("path orders must be positive")
+        return _PathForestFields.__new__(cls, path_orders)
 
 
-@dataclass(frozen=True)
-class LnEstimate:
+class LnEstimate(NamedTuple):
     """Per-m minimal shortest-path thresholds guaranteeing burnability of
     n-path forests of order m*m, with counterexamples at threshold - 1."""
 

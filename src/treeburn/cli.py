@@ -31,11 +31,30 @@ class DomainError(Exception):
     pass
 
 
+# The largest tree a command builds, checked on its order before anything is
+# built: the tree `adm induce` prints, one edge a line; a `path:N` or
+# `spider:a,b,...` tree of the `burn` commands; and the extremal spider of
+# `spider balanced` and `spider witness`, of order n(m-1) + 1 + (m-1)^2.
+# `adm induce` at 10**6 vertices takes about 2.5 s and 250 MB (Python 3.11,
+# one core of a shared 2-core x86 machine).
+MAX_INDUCED_ORDER = 10**6
+
+
+def _check_order(what: str, order: int, command: str) -> None:
+    if order > MAX_INDUCED_ORDER:
+        raise DomainError(
+            f"{what} has {order} vertices, more than the {MAX_INDUCED_ORDER} {command}"
+        )
+
+
 def _load_tree(spec: str) -> Tree:
     if spec.startswith("path:"):
-        return make_path(int(spec[5:]))
+        order = int(spec[5:])
+        _check_order("tree", order, "a path: spec builds")
+        return make_path(order)
     if spec.startswith("spider:"):
         lengths = [int(x) for x in spec[7:].split(",") if x]
+        _check_order("tree", 1 + sum(lengths), "a spider: spec builds")
         return make_spider(lengths)
     if not os.path.exists(spec):
         raise DomainError(f"tree file not found: {spec}")
@@ -223,22 +242,12 @@ def _cmd_adm_order(args) -> int:
     return 0
 
 
-# The largest induced tree `adm induce` builds and prints, one edge a line.
-# At 10**6 vertices that takes about 2.5 s and 250 MB (Python 3.11, one
-# core of a shared 2-core x86 machine).
-MAX_INDUCED_ORDER = 10**6
-
-
 def _cmd_adm_induce(args) -> int:
     topo, _, seq = _adm_context(args)
     if args.m is None:
         raise DomainError("adm induce requires -m")
-    order = adm.induced_order(topo, seq, args.m)  # closed form, no path laid out
-    if order > MAX_INDUCED_ORDER:
-        raise DomainError(
-            f"induced tree has {order} vertices, more than the "
-            f"{MAX_INDUCED_ORDER} adm induce prints"
-        )
+    # closed form, no path laid out
+    _check_order("induced tree", adm.induced_order(topo, seq, args.m), "adm induce prints")
     spec = InducedSpec(topology=topo, sequence=seq, m=args.m)
     plan = adm.induced_plan(spec)
     tree = Tree._built(plan.paths)
@@ -326,12 +335,17 @@ def _print_profile(prof, sched, m, fmt):
 
 
 def _cmd_spider_witness(args) -> int:
+    spider.min_diameter(args.n, args.m)  # its message first for m outside 3..2n-1
+    order = spider.extremal_order(args.n, args.m)
+    _check_order("extremal spider", order, "spider witness builds")
     prof, sched = spider.min_diameter_witness(args.n, args.m)
     _print_profile(prof, sched, args.m, args.format)
     return 0
 
 
 def _cmd_spider_balanced(args) -> int:
+    order = spider.extremal_order(args.n, args.m)
+    _check_order("extremal spider", order, "spider balanced builds")
     prof, sched = spider.balanced_extremal_spider(args.n, args.m)
     _print_profile(prof, sched, args.m, args.format)
     return 0

@@ -7,15 +7,14 @@ win; the T-shape (B adjacent to A, C, D; arms sorted a >= c >= d) admits
 three.  The closed-form tables for their added-vertex counts, pairwise
 differences, and winning conditions are written here once, as the text
 `emit_table` prints, and re-checked numerically by formulas parsed from that
-text.
+text when first read.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cache, cached_property
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .tree import Tree
 from .topology import Topology, make_chain_topology, make_tshape_topology
@@ -24,34 +23,40 @@ from .admissible import AdmissibleSequence, InducedSpec
 from . import burning
 
 
-@dataclass(frozen=True)
-class CandidateSet:
+class CandidateSet(NamedTuple):
     topology: Topology
     candidates: List[AdmissibleSequence]
     pruned: List[Tuple[AdmissibleSequence, str]]
 
 
-@dataclass(frozen=True)
-class FourBranchCase:
+class _FourBranchCaseFields(NamedTuple):
     shape: str  # "chain" or "tshape"
     degrees: Tuple[int, int, int, int]
 
-    def __post_init__(self):
-        if self.shape not in ("chain", "tshape"):
-            raise ValueError(f"unknown shape {self.shape!r}")
-        if any(d < 3 for d in self.degrees):
+
+class FourBranchCase(_FourBranchCaseFields):
+    __slots__ = ()
+
+    def __new__(cls, shape: str, degrees: Tuple[int, int, int, int]) -> "FourBranchCase":
+        if shape not in ("chain", "tshape"):
+            raise ValueError(f"unknown shape {shape!r}")
+        if any(d < 3 for d in degrees):
             raise ValueError("branch degrees must be at least 3")
+        return _FourBranchCaseFields.__new__(cls, shape, degrees)
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
-    """The winner of `find_extremal`: its spec (topology, sequence, m) and
-    induced order.  `tree` is built from the spec on first read and kept."""
-
+class _ExtremalResultFields(NamedTuple):
     spec: InducedSpec
     order: int
     burning_number: Optional[int] = None
     maximal: Optional[bool] = None
+
+
+class ExtremalResult(_ExtremalResultFields):
+    """The winner of `find_extremal`: its spec (topology, sequence, m) and
+    induced order.  `tree` is built from the spec on first read and kept
+    in the instance `__dict__`, which this class has for that reason: it
+    declares no `__slots__`."""
 
     @property
     def sequence(self) -> AdmissibleSequence:
@@ -62,8 +67,7 @@ class ExtremalResult:
         return adm.induce_tree(self.spec)
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     """Mismatches against the tables, and the induced order of each listed
     sequence per (degrees, m) checked."""
 
@@ -205,7 +209,7 @@ TABLE_TEXT: Dict[int, List[str]] = {
 
 Formula = Callable[..., int]
 
-_TOKEN = re.compile(r"max|min|and|[0-9abcdm]|[<>]=?|[-+*(),^{} ]")
+_TOKEN = r"max|min|and|[0-9abcdm]|[<>]=?|[-+*(),^{} ]"  # compiled on first use
 _OPERAND_END = set("0123456789abcdm)}")
 _OPERAND_START = {"a", "b", "c", "d", "m", "(", "max", "min"}
 _TO_PYTHON = str.maketrans({"^": "**", "{": "(", "}": ")"})
@@ -215,7 +219,7 @@ def _formula(text: str) -> Formula:
     """One printed cell as `f(a, b, c, d, m=None)`: juxtaposition multiplies,
     `^` is a power, `{..}` holds the arguments of max/min, and a cell with
     any token outside `_TOKEN` is rejected before it is evaluated."""
-    tokens = _TOKEN.findall(text)
+    tokens = re.findall(_TOKEN, text)
     if "".join(tokens) != text:
         raise ValueError(f"table cell {text!r} has a token outside the grammar")
     expr = []
@@ -240,14 +244,38 @@ def _matrix(index: int) -> Dict[Tuple[str, str], Formula]:
     }
 
 
-CHAIN_STAGE1 = {name: _formula(cell) for name, cell in _rows(1)}
-CHAIN_SEQUENCES = list(CHAIN_STAGE1)
-CHAIN_DIFF = _matrix(2)
-CHAIN_WINNERS = [(_formula(cond), name) for cond, name in _rows(3)]
-TSHAPE_TOTAL = {name: _formula(cell) for name, cell in _rows(4)}
-TSHAPE_SEQUENCES = list(TSHAPE_TOTAL)
-TSHAPE_DIFF = _matrix(5)
-TSHAPE_WINNERS = [(_formula(cond), name) for cond, name in _rows(6)]
+CHAIN_SEQUENCES = [line.partition("\t")[0] for line in TABLE_TEXT[1]]
+TSHAPE_SEQUENCES = [line.partition("\t")[0] for line in TABLE_TEXT[4]]
+
+_TABLE_NAMES = frozenset((
+    "CHAIN_STAGE1", "CHAIN_DIFF", "CHAIN_WINNERS",
+    "TSHAPE_TOTAL", "TSHAPE_DIFF", "TSHAPE_WINNERS",
+))
+
+
+@cache
+def _tables() -> None:
+    """Parse the six formula tables into module globals, once.  Only
+    `four_branch_lookup`, `verify_tables` (the `ext tables` command) and
+    the tests read them, so an import does not parse them: those two call
+    this first, and a read from outside goes through `__getattr__`."""
+    globals().update(
+        CHAIN_STAGE1={name: _formula(cell) for name, cell in _rows(1)},
+        CHAIN_DIFF=_matrix(2),
+        CHAIN_WINNERS=[(_formula(cond), name) for cond, name in _rows(3)],
+        TSHAPE_TOTAL={name: _formula(cell) for name, cell in _rows(4)},
+        TSHAPE_DIFF=_matrix(5),
+        TSHAPE_WINNERS=[(_formula(cond), name) for cond, name in _rows(6)],
+    )
+
+
+def __getattr__(name: str):
+    """The formula tables on first read (PEP 562); once parsed they are
+    plain module globals, so later reads and patches do not come here."""
+    if name not in _TABLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _tables()
+    return globals()[name]
 
 
 def emit_table(index: int) -> str:
@@ -278,6 +306,7 @@ def _mirror_name(name: str) -> str:
 
 def four_branch_lookup(case: FourBranchCase) -> str:
     """Winning canonical sequence name for the case's degree conditions."""
+    _tables()
     a, b, c, d = case.degrees
     if case.shape == "tshape":
         if not (a >= c >= d):
@@ -320,6 +349,7 @@ def verify_tables(
     induced orders it computed."""
     mismatches: List[str] = []
     table: Dict[Tuple[Tuple[int, int, int, int], int], Dict[str, int]] = {}
+    _tables()
     if shape == "chain":
         stage_formulas, diff_formulas = CHAIN_STAGE1, CHAIN_DIFF
     else:
@@ -329,10 +359,11 @@ def verify_tables(
         topo, labels, seqs = case_sequences(case)
         a, b, c, d = case.degrees
         expected_name = four_branch_lookup(case)
+        signed = {name: adm._signed(topo, seq) for name, seq in seqs.items()}
         for m in m_grid:
             orders = table[(case.degrees, m)] = {}
             for name, seq in seqs.items():
-                s1 = adm.stage1_additions(topo, seq, m).total
+                s1 = adm._stage1(topo, *signed[name], m).total  # stage1_additions
                 s2 = adm.stage2_total(seq, m)
                 orders[name] = topo.tree.order + s1 + s2  # induced_order
                 count = s1 if shape == "chain" else s1 + s2

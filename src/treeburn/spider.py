@@ -11,23 +11,26 @@ module's segment engine, which covers the leg suffixes past the head's ball.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .tree import Tree, _spider_legs, make_spider
 from .burning import BurningSchedule, is_m_burnable, _cover_suffixes, _partitions
 from . import burning
 
 
-@dataclass(frozen=True)
-class SpiderProfile:
+class _SpiderProfileFields(NamedTuple):
     arm_lengths: Tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.arm_lengths) < 3:
+
+class SpiderProfile(_SpiderProfileFields):
+    __slots__ = ()
+
+    def __new__(cls, arm_lengths: Tuple[int, ...]) -> "SpiderProfile":
+        if len(arm_lengths) < 3:
             raise ValueError("a spider needs at least three legs")
-        if any(l < 1 for l in self.arm_lengths):
+        if any(l < 1 for l in arm_lengths):
             raise ValueError("leg lengths must be positive")
+        return _SpiderProfileFields.__new__(cls, arm_lengths)
 
     @property
     def legs(self) -> int:

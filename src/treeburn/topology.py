@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .tree import Tree, TreeError, _runs, parse_labels, parse_tree
 
@@ -87,16 +86,14 @@ class Topology:
         )
 
 
-@dataclass(frozen=True)
-class LengthAssignment:
+class LengthAssignment(NamedTuple):
     """Positive lengths for every arm and internal path of a Topology."""
 
     arm_lengths: Dict[Tuple[int, int], int]
     internal_lengths: Dict[Tuple[int, int], int]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Arms and internal paths of a tree; paths include both endpoints."""
 
     arms: List[Tuple[int, Tuple[int, ...]]]

@@ -108,6 +108,27 @@ def test_stage2_closed_form_matches_round_list():
             assert adm.stage2_total(s, m) == want, (text, m)
 
 
+def test_stage2_counts_share_their_precondition():
+    # m < 0 is refused by both counts alike, and from m = 0 on they agree
+    for name in CHAIN_SEQUENCES:
+        s = seq(name)
+        for m in (-2, -1):
+            for count in (adm.stage2_total, lambda s, m: adm.stage2_additions(s, m).total):
+                with pytest.raises(ValueError, match=rf"^m must be at least 0, got {m}$"):
+                    count(s, m)
+        for m in range(4):
+            assert adm.stage2_total(s, m) == adm.stage2_additions(s, m).total, (name, m)
+
+
+def test_induced_plan_validates_once(monkeypatch):
+    calls = []
+    real = adm._check
+    monkeypatch.setattr(adm, "_check", lambda *a: calls.append(a) or real(*a))
+    spec = InducedSpec(topology=CHAIN, sequence=seq("A_B,C_D"), m=6)
+    adm.induced_plan(spec)
+    assert len(calls) == 1
+
+
 def test_stage1_requires_m_above_signature():
     s = seq("A_B,C_D")
     with pytest.raises(ValueError):

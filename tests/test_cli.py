@@ -204,19 +204,68 @@ def test_python_m_runs_the_cli():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, err",
     [
-        ["burn", "number", "spider:1000000000,1,1"],
-        ["spider", "balanced", "-n", "3", "-m", "1000000000"],
+        (
+            ["burn", "number", "spider:1000000000,1,1"],
+            "tree has 1000000003 vertices, more than the 1000000 a spider: spec builds",
+        ),
+        (
+            ["spider", "balanced", "-n", "3", "-m", "1000000000"],
+            "extremal spider has 1000000000999999999 vertices, more than the "
+            "1000000 spider balanced builds",
+        ),
     ],
     ids=["huge-tree", "huge-answer"],
 )
-def test_out_of_memory_is_one_error_line(argv):
-    # a tree of 10**9 vertices, or an answer of 10**9 sources, does not fit
-    # in 1 GiB: the run ends with exit 3 and one error line, no traceback
+def test_huge_input_is_refused_before_it_is_built(argv, err):
+    # a tree of 10**9 vertices, or an answer of 10**9 sources, would not fit
+    # in 1 GiB: its order is read off the input and refused with exit 1 and
+    # one error line, no traceback
+    assert cli.MAX_INDUCED_ORDER == 10**6
     proc = run_in_one_gib(argv)
-    assert proc.returncode == 3 and proc.stdout == ""
-    assert proc.stderr == "error: out of memory: the input is too large for this command\n"
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {err}\n" and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, order, command",
+    [
+        (["burn", "number", "path:52"], 52, "a path: spec builds"),
+        (["burn", "burnable", "spider:20,20,11", "-m", "9"], 52, "a spider: spec builds"),
+        (["spider", "balanced", "-n", "3", "-m", "6"], 41, "spider balanced builds"),
+        (["spider", "witness", "-n", "3", "-m", "5"], 29, "spider witness builds"),
+    ],
+    ids=["path", "spider", "balanced", "witness"],
+)
+def test_tree_order_cap_is_inclusive(monkeypatch, capsys, argv, order, command):
+    monkeypatch.setattr(cli, "MAX_INDUCED_ORDER", order)
+    assert run(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_INDUCED_ORDER", order - 1)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f" has {order} vertices, more than the {order - 1} {command}\n"
+    )
+
+
+def test_spider_witness_names_its_range_before_the_cap(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_INDUCED_ORDER", 1)
+    assert run(["spider", "witness", "-n", "3", "-m", "6"]) == 1
+    assert capsys.readouterr().err == "error: min diameter formula needs 3 <= m <= 2n - 1\n"
+
+
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    def huge(_args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_burn_number", huge)
+    assert run(["burn", "number", "path:9"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: the input is too large for this command\n"
 
 
 def test_recursion_error_is_one_error_line(monkeypatch, capsys):
