@@ -49,6 +49,9 @@ class Block(_BlockFields):
             raise ValueError("empty block cannot have a root")
         return _BlockFields.__new__(cls, vertex_set, root)
 
+    # checks as `__new__` does; `_replace` builds through it
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     @property
     def empty(self) -> bool:
         return not self.vertex_set

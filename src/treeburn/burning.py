@@ -24,12 +24,11 @@ it, and `is_m_burnable` reads b from it.  A stored witness is exact for
 every tree of its class: i -> run_order[i] matches the vertices of two
 trees with one key under an isomorphism, isomorphisms preserve distances,
 and every mapped witness is verified again on the caller's tree.  A hit
-reads only the key and the run order, which come off the tree's runs of
-degree-2 vertices; the per-vertex labelling (`tree.canonical_form`) is
-built only on a miss.  A class without a witness is searched on its
-canonical parent array, so no witness depends on which isomorphic trees
-came first.  Trees with at most one branch vertex bypass the memo, since the
-segment engine is cheap and the scan for their burning number starts at b.
+reads only the key and the run order.  A miss searches the class's
+canonical parent array (`tree.canonical_parent`), whose ids are run-order
+indices, and stores the witness found as it is.  Trees with at most one
+branch vertex bypass the memo, since the segment engine is cheap and the
+scan for their burning number starts at b.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from .tree import (
     Tree,
     _runs,
-    canonical_form,
     canonical_key,
+    canonical_parent,
     canonical_runs,
     make_path,
     parent_diameter,
@@ -92,6 +91,9 @@ class PathForest(_PathForestFields):
         if any(p < 1 for p in path_orders):
             raise ValueError("path orders must be positive")
         return _PathForestFields.__new__(cls, path_orders)
+
+    # checks as `__new__` does; `_replace` builds through it
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class LnEstimate(NamedTuple):
@@ -399,9 +401,9 @@ def _cover_general(parent: Sequence[int], m: int) -> Optional[List[Tuple[int, in
     """Complete covering search for arbitrary trees, branching on radii only.
 
     The tree is given as a parent array on ids 0..n-1 with parent[i] < i
-    for i >= 1 and parent[0] = -1 (a `canonical_form`'s third field), and
-    is rooted at 0; the cover is returned as (radius, centre) pairs in
-    those ids.
+    for i >= 1 and parent[0] = -1 (a `canonical_parent` array, whose ids
+    are run-order indices), and is rooted at 0; the cover is returned as
+    (radius, centre) pairs in those ids.
 
     Let u be a deepest uncovered vertex.  Some remaining ball covers u.  If
     a radius-r ball B covers u, the radius-r ball centred at a, u's ancestor
@@ -573,8 +575,8 @@ def is_m_burnable(tree: Tree, m: int) -> bool:
     No k below the scan start is burnable (`burning_number`'s docstring), so
     there the answer is no without a cover.  A tree with two or more branch
     vertices whose class has a stored witness reads b off it, its length,
-    and builds no canonical labelling; any other decides once on its
-    canonical parent array and writes nothing to the memo.
+    and builds no parent array; any other decides once on its canonical
+    parent array and writes nothing to the memo.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -585,7 +587,7 @@ def is_m_burnable(tree: Tree, m: int) -> bool:
     ids = _memo.get(canonical_runs(tree)[0])
     if ids is not None:
         return m >= len(ids)
-    return m >= _scan_start(tree) and _cover_general(canonical_form(tree)[2], m) is not None
+    return m >= _scan_start(tree) and _cover_general(canonical_parent(tree), m) is not None
 
 
 def _scan_start(tree: Tree, legs: Optional[_Legs] = None) -> int:
@@ -595,7 +597,7 @@ def _scan_start(tree: Tree, legs: Optional[_Legs] = None) -> int:
     a spider has one leaf per leg and its two longest legs as diameter.
     Any other tree reads its diameter off its canonical parent array."""
     if len(tree.branch_vertices()) > 1:
-        return math.isqrt(parent_diameter(canonical_form(tree)[2])) + 1
+        return math.isqrt(parent_diameter(canonical_parent(tree))) + 1
     head, arms = legs or _legs(tree)
     if head is None:
         return math.isqrt(len(arms[0]) - 1) + 1
@@ -631,17 +633,14 @@ def burning_number(tree: Tree) -> Tuple[int, BurningSchedule]:
 
     A tree with two or more branch vertices whose class has a stored
     witness gets it mapped through its run order and verified, with no
-    cover search and no canonical labelling.  Otherwise the scan runs on
-    the class's canonical parent array from `_scan_start`, and the cover at
-    b becomes a witness on the tree that array builds (`Tree._rooted`); its
-    BFS ids map through `order` to this tree's vertices, and those are
-    stored as their run-order indices.  For every tree of the class the map
-    from BFS id to run index is the same, as both orders are read off the
-    same sorted runs, so a hit returns the vertices the search would.  That
-    cover is a function of the array and b alone, so the witness is a
-    function of the tree alone, whatever the memo held or evicted before.
-    Paths and spiders neither read nor write the memo, and their canonical
-    form is never computed.
+    cover search and no parent array.  Otherwise the scan runs on the
+    class's canonical parent array from `_scan_start`, and the cover at b
+    becomes a witness on the tree that array builds (`Tree._rooted`).  Its
+    ids are run-order indices, so it is stored as it is, and a hit returns
+    the vertices the search would.  That cover is a function of the array
+    and b alone, so the witness is a function of the tree alone, whatever
+    the memo held or evicted before.  Paths and spiders neither read nor
+    write the memo, and their canonical key is never computed.
     """
     if len(tree.branch_vertices()) <= 1:
         # the path-forest DP keeps the arms' symmetry, which _cover_general's
@@ -652,13 +651,12 @@ def burning_number(tree: Tree) -> Tuple[int, BurningSchedule]:
     key, run_order = canonical_runs(tree)
     ids = _memo.get(key)
     if ids is None:
-        _, order, parent = canonical_form(tree)
+        parent = canonical_parent(tree)
         k, cover = _first_cover(_scan_start(tree), lambda k: _cover_general(parent, k))
-        sources = [order[i] for i in _witness_from_cover(Tree._rooted(parent), k, cover).sources]
+        ids = _witness_from_cover(Tree._rooted(parent), k, cover).sources
         if len(_memo) >= _MEMO_CLASSES:
             del _memo[next(iter(_memo))]
-        _memo[key] = tuple(map(run_order.index, sources))
-        return k, _checked(tree, sources)
+        _memo[key] = ids
     return len(ids), _checked(tree, [run_order[i] for i in ids])
 
 
@@ -722,8 +720,8 @@ def is_maximally_m_burnable(tree: Tree, m: int) -> bool:
     b = m is decided as m-burnable and not (m-1)-burnable; after
     `burning_number` on a tree with two or more branch vertices, its stored
     witness answers both without a search.  Subdivided trees are tried once
-    per isomorphism class, through a local set of canonical keys; each
-    subdivided tree keeps its canonical form, so the decision reuses it.
+    per isomorphism class, through a local set of canonical keys, which
+    each subdivided tree keeps for the decision.
     """
     if m < 1 or not is_m_burnable(tree, m) or (m > 1 and is_m_burnable(tree, m - 1)):
         b, _ = burning_number(tree)
@@ -810,7 +808,9 @@ def _partition_count(total: int, parts: int) -> int:
 def ln_estimate(n: int, m_range: Sequence[int]) -> LnEstimate:
     """Per-m minimal thresholds L with property: every n-path forest of total
     order m*m and shortest path >= L is m-burnable; each threshold is certified
-    by a counterexample forest at L-1 when one exists."""
+    by a counterexample forest at L-1 when one exists, the first in
+    `_partitions` order.  The walk keeps one forest and decides only the
+    partitions whose least part beats its."""
     if n < 2:
         raise ValueError("n must be at least 2")
     # the partitions to test over the whole m-range, counted up to the cap
@@ -827,20 +827,12 @@ def ln_estimate(n: int, m_range: Sequence[int]) -> LnEstimate:
         if total < n:
             vacuous.append(m)
             continue
-        bad = [
-            p
-            for p in _partitions(total, n)
-            if not path_forest_burnable(PathForest(p), m)
-        ]
-        if not bad:
-            per_m[m] = 1
-            counterexamples[m] = None
-        else:
-            threshold = max(min(p) for p in bad) + 1
-            per_m[m] = threshold
-            counterexamples[m] = next(
-                p for p in bad if min(p) == threshold - 1
-            )
+        worst, least = None, 0  # the counterexample so far and its least part
+        for p in _partitions(total, n):  # non-increasing: p[-1] is the least part
+            if p[-1] > least and not path_forest_burnable(PathForest(p), m):
+                worst, least = p, p[-1]
+        per_m[m] = least + 1
+        counterexamples[m] = worst
     return LnEstimate(
         per_m=per_m,
         counterexamples=counterexamples,

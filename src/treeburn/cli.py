@@ -33,8 +33,9 @@ class DomainError(Exception):
 
 # The largest tree a command builds, checked on its order before anything is
 # built: the tree `adm induce` prints, one edge a line; a `path:N` or
-# `spider:a,b,...` tree of the `burn` commands; and the extremal spider of
-# `spider balanced` and `spider witness`, of order n(m-1) + 1 + (m-1)^2.
+# `spider:a,b,...` tree of the `burn` commands; the extremal spider of
+# `spider balanced` and `spider witness`, of order n(m-1) + 1 + (m-1)^2; and
+# the winner's tree that `ext search --verify` burns, of the search's order.
 # `adm induce` at 10**6 vertices takes about 2.5 s and 250 MB (Python 3.11,
 # one core of a shared 2-core x86 machine).
 MAX_INDUCED_ORDER = 10**6
@@ -263,7 +264,10 @@ def _cmd_adm_induce(args) -> int:
 
 def _cmd_ext_search(args) -> int:
     topo, labels = _load_topology(args.topology)
-    result = extremal.find_extremal(topo, args.m, verify=args.verify)
+    result = extremal.find_extremal(topo, args.m)  # memoised; builds no tree
+    if args.verify:
+        _check_order("extremal tree", result.order, "ext search --verify builds")
+        result = extremal.find_extremal(topo, args.m, verify=True)
     fields = [
         ("order", str(result.order)),
         ("seq", adm.format_compact(result.sequence, labels, topo)),

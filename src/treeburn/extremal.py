@@ -44,6 +44,9 @@ class FourBranchCase(_FourBranchCaseFields):
             raise ValueError("branch degrees must be at least 3")
         return _FourBranchCaseFields.__new__(cls, shape, degrees)
 
+    # checks as `__new__` does; `_replace` builds through it
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
 
 class _ExtremalResultFields(NamedTuple):
     spec: InducedSpec

@@ -32,6 +32,9 @@ class SpiderProfile(_SpiderProfileFields):
             raise ValueError("leg lengths must be positive")
         return _SpiderProfileFields.__new__(cls, arm_lengths)
 
+    # checks as `__new__` does; `_replace` builds through it
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     @property
     def legs(self) -> int:
         return len(self.arm_lengths)

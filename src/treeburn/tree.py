@@ -1,10 +1,9 @@
-"""Labelled trees: construction, parsing, distances, canonical forms."""
+"""Labelled trees: construction, parsing, distances, canonical orders."""
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from itertools import accumulate, compress, count
-from operator import sub
+from itertools import accumulate
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 
@@ -20,8 +19,8 @@ class Tree:
     after construction and safe to share.  A tree holds its vertices and each
     vertex's neighbours; the sorted edge tuple `edges` is derived from them
     on first read and kept, like the distance table, the canonical key with
-    its run order (`canonical_runs`) and the labelled canonical form
-    (`canonical_form`), which is read off that run order.
+    its run order (`canonical_runs`) and the canonical parent array
+    (`canonical_parent`), which is read off that run order.
     """
 
     def __init__(self, edges: Iterable[Tuple[int, int]], vertices: Iterable[int] = ()):
@@ -98,7 +97,7 @@ class Tree:
         none of the constructor's checks.
 
         The caller guarantees parent[i] < i for i >= 1, as a
-        `canonical_form` parent array has; the edges then form a tree.  In
+        `canonical_parent` array has; the edges then form a tree.  In
         one pass each vertex gets its parent and then its children, which
         arrive in increasing order, all above the parent.
         """
@@ -118,8 +117,8 @@ class Tree:
         self._edges: Tuple[Tuple[int, int], ...] | None = None
         self._dist: Dict[int, Dict[int, int]] | None = None
         self._branch: Tuple[int, ...] | None = None
-        self._canon: Tuple[str, Tuple[int, ...], int] | None = None
-        self._form: Tuple[str, Tuple[int, ...], Tuple[int, ...]] | None = None
+        self._canon: Tuple[str, Tuple[int, ...]] | None = None
+        self._parent: Tuple[int, ...] | None = None
 
     @property
     def edges(self) -> Tuple[Tuple[int, int], ...]:
@@ -416,10 +415,6 @@ def _sorted_runs(adj, root: int, block: int | None) -> Tuple[str, List[int]]:
     return enc[root], order
 
 
-# bytes.translate table: 1 at each "(" of an encoding, 0 at each ")"
-_OPENS = bytes.maketrans(b"()", b"\x01\x00")
-
-
 def canonical_runs(tree: Tree) -> Tuple[str, Tuple[int, ...]]:
     """(key, run_order): the tree's canonical key and its vertices in a
     canonical order, computed on first use and kept on the tree.
@@ -431,72 +426,45 @@ def canonical_runs(tree: Tree) -> Tuple[str, Tuple[int, ...]]:
     encodings (`_sorted_runs`).  That order is fixed by the key up to ties
     between equal encodings, which root isomorphic subtrees, so for trees
     with the same key i -> run_order[i] matches their vertices under an
-    isomorphism.  `canonical_form` reads its labelling off run_order.
+    isomorphism.  `canonical_parent` reads the tree's edges off it.
     """
     if tree._canon is None:
         adj = tree._adj
         cents = _centroid(tree)
         if len(cents) == 1:
             enc, run_order = _sorted_runs(adj, cents[0], None)
-            tree._canon = ("C" + enc, tuple(run_order), len(run_order))
+            tree._canon = ("C" + enc, tuple(run_order))
         else:
             a, b = cents
             (ea, oa), (eb, ob) = sorted(
                 [_sorted_runs(adj, a, b), _sorted_runs(adj, b, a)],
                 key=lambda half: half[0],
             )
-            tree._canon = ("B" + ea + eb, tuple(oa + ob), len(oa))
-    return tree._canon[:2]
+            tree._canon = ("B" + ea + eb, tuple(oa + ob))
+    return tree._canon
 
 
-def canonical_form(tree: Tree) -> Tuple[str, Tuple[int, ...], Tuple[int, ...]]:
-    """(key, order, parent): the tree's labelled canonical form, computed on
-    first use and kept on the tree.
-
-    The key is `canonical_key`.  Canonical vertex i is order[i], and
-    parent[i] is its parent's canonical index (-1 for i = 0), so the edges
-    (i, parent[i]) for i >= 1 build the canonical tree, and i -> order[i] is
-    an isomorphism from it onto this tree.  Isomorphic trees get the same
-    key and the same parent array.  The roots are `canonical_runs`', and
-    each half is labelled in BFS order, each vertex's children in the order
-    of their encodings; a bicentroid tree puts the half with the smaller
-    encoding first and its root as the parent of the other's.  Equal halves
-    give the same array either way.
-
-    The labelling is read off `canonical_runs`, with no walk of the tree:
-    - the key after its first letter is the halves' encodings, whose
-      opening brackets are run_order's vertices in turn; the j-th "(" at
-      index k follows j "(" and k - j ")", so it opens a vertex of depth
-      2j - k, as a half's brackets balance;
-    - run_order is a preorder, in which each vertex's subtree is an interval
-      starting at it, so the vertices of one depth in a half lie in BFS
-      order there, and a stable sort of the half by depth is its BFS order;
-    - in BFS order each vertex's children are consecutive and follow their
-      parents' order, so parent lists each id once per child it has: its
-      degree, less one for its parent or, at a bicentroid root, the other
-      root.
+def canonical_parent(tree: Tree) -> Tuple[int, ...]:
+    """parent[i], the run-order index of run_order[i]'s parent (-1 at i = 0),
+    computed on first use and kept on the tree.  run_order is a preorder,
+    and a bicentroid tree's second half hangs from run_order[0], so each
+    other vertex's parent is its one earlier neighbour, and parent[i] < i.
+    i -> run_order[i] maps the edges (i, parent[i]) onto the tree's, and
+    trees with the same key get the same array.
     """
-    if tree._form is None:
-        key, run_order = canonical_runs(tree)
-        half, n = tree._canon[2], len(run_order)
-        opens = compress(count(), key[1:].encode().translate(_OPENS))
-        depth = list(map(sub, count(0, 2), opens))
-        rank = sorted(range(half), key=depth.__getitem__)
-        rank += sorted(range(half, n), key=depth.__getitem__)
-        order = tuple(map(run_order.__getitem__, rank))
+    if tree._parent is None:
+        run_order = canonical_runs(tree)[1]
+        pos = {v: i for i, v in enumerate(run_order)}
         adj = tree._adj
-        parent = [-1]
-        for i, v in enumerate(order):
-            if i == half:
-                parent.append(0)
-            parent += [i] * (len(adj[v]) - (i > 0 or half < n))
-        tree._form = (key, order, tuple(parent))
-    return tree._form
+        tree._parent = (-1,) + tuple(
+            min(map(pos.__getitem__, adj[v])) for v in run_order[1:]
+        )
+    return tree._parent
 
 
 def parent_diameter(parent: Sequence[int]) -> int:
     """The diameter of the tree given by a parent array with
-    parent[i] < i for i >= 1 (a `canonical_form`'s third field), in one
+    parent[i] < i for i >= 1 (a `canonical_parent` array), in one
     reverse pass.
 
     Every vertex comes after its parent, so in reverse order a vertex's

@@ -31,8 +31,8 @@ from treeburn.spider import extremal_order
 from treeburn.topology import LengthAssignment, expand, make_chain_topology
 from treeburn.tree import (
     Tree,
-    canonical_form,
     canonical_key,
+    canonical_parent,
     canonical_runs,
     diameter,
     make_path,
@@ -237,8 +237,8 @@ def test_witness_matches_reference_simulation(rng):
         if len(t.branch_vertices()) <= 1:
             cover = _cover_segments(_legs(t), k)
         else:
-            _, order, parent = canonical_form(t)
-            cover = [(r, order[c]) for r, c in _cover_general(parent, k)]
+            run_order = canonical_runs(t)[1]
+            cover = [(r, run_order[c]) for r, c in _cover_general(canonical_parent(t), k)]
         for _ in range(rng.randint(0, 3)):
             if not cover:
                 break
@@ -544,8 +544,8 @@ def order_keeping_copy(tree, rng):
 
 def test_memo_hits_build_no_labelling(monkeypatch, fresh_memo, rng):
     labelled = []
-    form = burning.canonical_form
-    monkeypatch.setattr(burning, "canonical_form", lambda u: labelled.append(u) or form(u))
+    parent_of = burning.canonical_parent
+    monkeypatch.setattr(burning, "canonical_parent", lambda u: labelled.append(u) or parent_of(u))
     trees = chain_trees((4, 5, 6, 7, 4, 5, 3, 2, 2))[:1] + branchy_trees(rng, 40, 8, 30)
     for t in trees:
         b, sched = burning_number(t)
@@ -630,8 +630,8 @@ def test_cover_matches_bfs_ball_reference(rng):
             trees.append(t)
     bicentroid = 0
     for t in trees:
-        key, _, parent = canonical_form(t)
-        bicentroid += key.startswith("B")
+        parent = canonical_parent(t)
+        bicentroid += canonical_key(t).startswith("B")
         canon = Tree([(i, parent[i]) for i in range(1, len(parent))])
         b = burning_number(t)[0]
         for k in (b - 1, b):
@@ -645,7 +645,7 @@ def test_cover_on_a_deep_tree_needs_no_recursion_per_level():
     # 6,300: the centroid root sits mid-path, over 3,000 levels above the ends
     n = 6401
     t = Tree([(i, i + 1) for i in range(n - 1)] + [(100, n), (6300, n + 1)])
-    _, _, parent = canonical_form(t)
+    parent = canonical_parent(t)
     canon = Tree._rooted(parent)
     height = max(canon.distances_from(0).values())
     assert height >= 3000 and len(t.branch_vertices()) == 2
@@ -1048,6 +1048,24 @@ def test_ln_estimate_certificates():
             assert cx is not None
             assert min(cx) == threshold - 1
             assert not path_forest_burnable(PathForest(cx), m)
+
+
+def test_ln_estimate_matches_the_list_rule():
+    # the rule it replaces: list every forest that is not m-burnable, then
+    # read the threshold and the first counterexample off that list
+    for n in range(2, 5):
+        est = ln_estimate(n, range(2, 9))
+        assert est.vacuous == ()
+        for m in range(2, 9):
+            bad = [
+                p
+                for p in burning._partitions(m * m, n)
+                if not path_forest_burnable(PathForest(p), m)
+            ]
+            threshold = max((min(p) for p in bad), default=0) + 1
+            assert est.per_m[m] == threshold, (n, m)
+            first = next((p for p in bad if min(p) == threshold - 1), None)
+            assert est.counterexamples[m] == first, (n, m)
 
 
 def test_ln_estimate_vacuous():

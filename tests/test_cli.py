@@ -215,15 +215,23 @@ def test_python_m_runs_the_cli():
             "extremal spider has 1000000000999999999 vertices, more than the "
             "1000000 spider balanced builds",
         ),
+        (
+            ["ext", "search", "chain3333", "-m", "100000", "--verify"],
+            "extremal tree has 10000399993 vertices, more than the "
+            "1000000 ext search --verify builds",
+        ),
     ],
-    ids=["huge-tree", "huge-answer"],
+    ids=["huge-tree", "huge-answer", "huge-winner"],
 )
 def test_huge_input_is_refused_before_it_is_built(argv, err):
     # a tree of 10**9 vertices, or an answer of 10**9 sources, would not fit
     # in 1 GiB: its order is read off the input and refused with exit 1 and
-    # one error line, no traceback
-    assert cli.MAX_INDUCED_ORDER == 10**6
+    # one error line, no traceback; the winner of `ext search` has its order
+    # from the memoised search, which builds nothing
+    assert readme_induce_cap() == cli.MAX_INDUCED_ORDER == 10**6
+    start = time.monotonic()
     proc = run_in_one_gib(argv)
+    assert time.monotonic() - start < 5
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: {err}\n" and "Traceback" not in proc.stderr
 
@@ -235,8 +243,9 @@ def test_huge_input_is_refused_before_it_is_built(argv, err):
         (["burn", "burnable", "spider:20,20,11", "-m", "9"], 52, "a spider: spec builds"),
         (["spider", "balanced", "-n", "3", "-m", "6"], 41, "spider balanced builds"),
         (["spider", "witness", "-n", "3", "-m", "5"], 29, "spider witness builds"),
+        (["ext", "search", "chain3333", "-m", "6", "--verify"], 53, "ext search --verify builds"),
     ],
-    ids=["path", "spider", "balanced", "witness"],
+    ids=["path", "spider", "balanced", "witness", "ext-search-verify"],
 )
 def test_tree_order_cap_is_inclusive(monkeypatch, capsys, argv, order, command):
     monkeypatch.setattr(cli, "MAX_INDUCED_ORDER", order)

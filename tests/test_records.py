@@ -66,6 +66,13 @@ BAD_INPUT = [
     (spider.SpiderProfile, ((1, 0, 2),), "leg lengths must be positive"),
 ]
 
+VALID_INPUT = {
+    adm.Block: (frozenset({1}), 1),
+    burning.PathForest: ((3, 1),),
+    extremal.FourBranchCase: ("chain", (3, 3, 3, 3)),
+    spider.SpiderProfile: ((1, 2, 3),),
+}
+
 
 @pytest.mark.parametrize(
     "cls, args, message",
@@ -78,6 +85,14 @@ def test_validating_records_refuse_bad_input(cls, args, message):
         cls(*args)
     with pytest.raises(ValueError, match=pattern):
         cls(**dict(zip(cls._fields, args)))
+    # the named-tuple builders check as the constructor does
+    with pytest.raises(ValueError, match=pattern):
+        cls._make(args)
+    good = cls(*VALID_INPUT[cls])
+    with pytest.raises(ValueError, match=pattern):
+        good._replace(**dict(zip(cls._fields, args)))
+    for built in (cls._make(VALID_INPUT[cls]), good._replace(**good._asdict())):
+        assert type(built) is cls and built == good
 
 
 def _records():

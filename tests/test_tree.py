@@ -7,8 +7,8 @@ from treeburn.tree import (
     Tree,
     TreeError,
     _centroid,
-    canonical_form,
     canonical_key,
+    canonical_parent,
     canonical_runs,
     diameter,
     isomorphic,
@@ -242,7 +242,7 @@ def reference_key(tree):
     return "B" + "".join(sorted([rooted(a, b), rooted(b, a)]))
 
 
-def test_canonical_form_is_a_labelling_shared_by_isomorphic_trees():
+def test_canonical_parent_is_a_labelling_shared_by_isomorphic_trees():
     rng = random.Random(20261019)
     trees = [random_tree(rng, rng.randint(1, 40)) for _ in range(600)]
     for _ in range(200):  # two copies of one tree joined by an edge: equal halves
@@ -253,14 +253,14 @@ def test_canonical_form_is_a_labelling_shared_by_isomorphic_trees():
         trees.append(Tree(edges + [(v, v + shift)], vertices=[0, shift]))
     checked = equal_halves = 0
     for t in trees:
-        key, _, parent = canonical_form(t)
-        assert key == canonical_key(t) == reference_key(t), t.edges
+        key, parent = canonical_key(t), canonical_parent(t)
+        assert key == reference_key(t), t.edges
         canon = Tree(
             [(i, parent[i]) for i in range(1, len(parent))], vertices=[0]
         )
-        assert canonical_form(canon)[::2] == (key, parent)
+        assert (canonical_key(canon), canonical_parent(canon)) == (key, parent)
         for u in (t, relabel(t, rng), relabel(t, rng)):
-            got, order, up = canonical_form(u)
+            (got, order), up = canonical_runs(u), canonical_parent(u)
             assert (got, up) == (key, parent), (t.edges, u.edges)
             # i -> order[i] is an isomorphism from the canonical tree onto u
             assert sorted(order) == list(u.vertices)
@@ -311,11 +311,11 @@ def _reference_rooted_form(
     A vertex encodes as "(" + its children's encodings, sorted, + ")".  The
     strings are built without recursion in reverse BFS order, so every child
     comes before its parent, and each child's string is dropped once its
-    parent's is built.  The canonical order is the BFS order that visits
-    each vertex's children in the order of their encodings.  Children with
-    equal encodings root isomorphic subtrees, so how their tie is broken
-    does not change the parent array: isomorphic rooted trees get the same
-    one.
+    parent's is built.  Each vertex's children are sorted stably from
+    adjacency order, and the canonical order is the preorder that visits
+    them in that order, depth first.  Children with equal encodings root
+    isomorphic subtrees, so how their tie is broken does not change the
+    parent array: isomorphic rooted trees get the same one.
     """
     adj = tree._adj
     kids = {root: [w for w in adj[root] if w != block]}
@@ -337,18 +337,22 @@ def _reference_rooted_form(
         else:
             ks.sort(key=enc.__getitem__)
             enc[v] = "(" + "".join(map(enc.pop, ks)) + ")"
-    order = [root]
-    up = [-1]
-    for i, v in enumerate(order):
-        ks = kids[v]
-        order += ks
-        up += [i] * len(ks)
+    order: List[int] = []
+    up: List[int] = []
+    stack = [(root, -1)]
+    while stack:
+        v, p = stack.pop()
+        i = len(order)
+        order.append(v)
+        up.append(p)
+        stack += [(w, i) for w in reversed(kids[v])]
     return enc[root], order, up
 
 
-def reference_canonical_form(tree: Tree) -> Tuple[str, Tuple[int, ...], Tuple[int, ...]]:
-    """Oracle for `canonical_form`: the per-vertex AHU labelling, one string
-    per vertex and a BFS from each centroid, with nothing kept on the tree.
+def reference_canonical_order(tree: Tree) -> Tuple[str, Tuple[int, ...], Tuple[int, ...]]:
+    """Oracle for `canonical_runs` and `canonical_parent`: the per-vertex AHU
+    labelling, one string per vertex and a preorder from each centroid, with
+    nothing kept on the tree.
 
     The tree is rooted at its centroid; a bicentroid tree is cut at the
     central edge into two halves, each rooted at its centroid, the half with
@@ -408,9 +412,9 @@ def test_run_form_matches_the_per_vertex_labelling():
     trees += [relabel(t, rng) for t in list(trees) for _ in range(2)]
     in_run = central_in_run = 0
     for t in trees:
-        want = reference_canonical_form(t)
-        assert canonical_form(t) == want, t.edges
-        assert canonical_key(t) == want[0] == canonical_runs(t)[0]
+        want = reference_canonical_order(t)
+        assert (*canonical_runs(t), canonical_parent(t)) == want, t.edges
+        assert canonical_key(t) == want[0]
         cents = _centroid(t)
         in_run += len(cents) == 1 and t.degree(cents[0]) == 2
         central_in_run += len(cents) == 2 and {t.degree(c) for c in cents} == {2}
@@ -447,7 +451,8 @@ def test_form_is_computed_once_per_tree(monkeypatch):
     centroid = tree_mod._centroid
     monkeypatch.setattr(tree_mod, "_centroid", lambda t: calls.append(1) or centroid(t))
     t = make_spider([2, 3, 4])
-    assert canonical_key(t) == canonical_form(t)[0] == canonical_key(t)
+    assert canonical_key(t) == canonical_runs(t)[0] == canonical_key(t)
+    assert canonical_parent(t) is canonical_parent(t)
     assert len(calls) == 1
 
 
@@ -593,15 +598,14 @@ def parent_array_trees():
 def test_parent_array_diameter_matches_bfs():
     bicentroid = 0
     for t in parent_array_trees():
-        key, _, parent = canonical_form(t)
-        bicentroid += key.startswith("B")
-        assert parent_diameter(parent) == diameter(t), t.edges
+        bicentroid += canonical_key(t).startswith("B")
+        assert parent_diameter(canonical_parent(t)) == diameter(t), t.edges
     assert bicentroid >= 150
 
 
 def test_rooted_tree_matches_the_checked_constructor():
     for t in parent_array_trees():
-        _, _, parent = canonical_form(t)
+        parent = canonical_parent(t)
         rooted = Tree._rooted(parent)
         checked = Tree([(i, parent[i]) for i in range(1, len(parent))], vertices=[0])
         assert rooted == checked and hash(rooted) == hash(checked), parent
