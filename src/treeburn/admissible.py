@@ -352,18 +352,12 @@ def induce_tree(spec: InducedSpec) -> Tree:
     return Tree._built(induced_plan(spec).paths)
 
 
-def witness_schedule(spec: InducedSpec, tree: Optional[Tree] = None) -> BurningSchedule:
+def witness_schedule(spec: InducedSpec) -> BurningSchedule:
     """Length-m burning sequence with block roots as the early sources and
     segment centers for the remaining rounds, read off `_layout` with no
-    path laid out.  A given `tree` must have `induced_plan`'s edges."""
-    if tree is None:
-        *_, sources = _layout(spec)
-        return BurningSchedule(sources=sources)
-    plan = induced_plan(spec)
-    edges = sorted(tuple(sorted(e)) for p in plan.paths for e in zip(p, p[1:]))
-    if tree.edges != tuple(edges):
-        raise ValueError("tree was not produced by this spec")
-    return BurningSchedule(sources=plan.sources)
+    path laid out."""
+    *_, sources = _layout(spec)
+    return BurningSchedule(sources=sources)
 
 
 def _rooted_descendants(
@@ -925,10 +919,10 @@ def format_compact(
     return ",".join(parts)
 
 
-def parse_block_lines(text: str, n_blocks: Optional[int] = None) -> AdmissibleSequence:
+def parse_block_lines(text: str) -> AdmissibleSequence:
     """Parse the line format ``block <i> root <v> members <v1,v2,...>`` /
-    ``block <i> empty``.  Blocks are numbered from 1 (up to `n_blocks` when
-    given), each at most once; a missing block is empty."""
+    ``block <i> empty``.  Blocks are numbered from 1, each at most once; a
+    missing block is empty."""
     entries: Dict[int, Block] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -938,7 +932,7 @@ def parse_block_lines(text: str, n_blocks: Optional[int] = None) -> AdmissibleSe
         if len(parts) < 3 or parts[0] != "block" or not parts[1].isdigit():
             raise ValueError(f"malformed line: {raw!r}")
         idx = int(parts[1])
-        if idx < 1 or (n_blocks is not None and idx > n_blocks):
+        if idx < 1:
             raise ValueError(f"block {idx} out of range: {raw!r}")
         if idx in entries:
             raise ValueError(f"block {idx} given twice: {raw!r}")
@@ -950,6 +944,6 @@ def parse_block_lines(text: str, n_blocks: Optional[int] = None) -> AdmissibleSe
             entries[idx] = Block(vertex_set=members, root=root)
         else:
             raise ValueError(f"malformed line: {raw!r}")
-    length = n_blocks if n_blocks is not None else (max(entries) if entries else 0)
+    length = max(entries, default=0)
     blocks = tuple(entries.get(i, EMPTY_BLOCK) for i in range(1, length + 1))
     return AdmissibleSequence(blocks=blocks)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import accumulate
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .tree import (
@@ -355,9 +354,12 @@ def _cover_segments(legs: _Legs, m: int) -> Optional[List[Tuple[int, int]]]:
     arm suffixes past B0's reach, in one interval of at most 2r+1 vertices
     on one suffix, and the spider is covered iff for some head ball B0 the
     suffixes are covered by the other radii.  The search tries each head ball
-    (radius, arm, depth) and solves that path forest exactly; head balls
-    that leave the same multiset of (arm length, reach) pairs leave the same
-    forest and are tried once.
+    (radius, arm, depth) and solves that path forest exactly.  A radius-rho
+    ball at depth delta on an arm of length L leaves max(0, L - rho - delta)
+    of its own arm and max(0, L_i - rho + delta) of every other arm i, so on
+    another arm of length L it leaves the same forest: only the first arm of
+    each leg length is tried.  Any other head balls that leave the same
+    forest are tried again and fail the same way.
 
     In each radius the head-centred ball goes first.  An l-leg spider of
     the extremal order l(m-1) + 1 + (m-1)^2 meets the bound in
@@ -370,30 +372,21 @@ def _cover_segments(legs: _Legs, m: int) -> Optional[List[Tuple[int, int]]]:
     radii = list(range(m - 1, -1, -1))
     if head is None:
         return _cover_suffixes(arms, [0], radii)
-    lengths = [len(a) for a in arms]
-
-    def head_balls(rho: int):
-        """(centre, depth reached on each arm) of every radius-rho head
-        ball, the head-centred one first."""
-        yield head, [min(l, rho) for l in lengths]
-        for j, arm in enumerate(arms):
-            for delta in range(1, min(rho, len(arm)) + 1):
-                yield arm[delta - 1], [
-                    min(l, delta + rho if k == j else rho - delta)
-                    for k, l in enumerate(lengths)
-                ]
-
-    seen = set()
+    firsts: Dict[int, int] = {}  # leg length -> its first arm
+    for j, arm in enumerate(arms):
+        firsts.setdefault(len(arm), j)
     for rho in radii:
         rest = [r for r in radii if r != rho]
-        for centre, reach in head_balls(rho):
-            key = (rho, tuple(sorted(zip(lengths, reach))))
-            if key in seen:
-                continue
-            seen.add(key)
-            cover = _cover_suffixes(arms, reach, rest)
-            if cover is not None:
-                return [(rho, centre)] + cover
+        cover = _cover_suffixes(arms, [rho] * len(arms), rest)
+        if cover is not None:
+            return [(rho, head)] + cover
+        for j in firsts.values():
+            for delta in range(1, min(rho, len(arms[j])) + 1):
+                reach = [rho - delta] * len(arms)
+                reach[j] = rho + delta
+                cover = _cover_suffixes(arms, reach, rest)
+                if cover is not None:
+                    return [(rho, arms[j][delta - 1])] + cover
     return None
 
 
@@ -814,11 +807,15 @@ def ln_estimate(n: int, m_range: Sequence[int]) -> LnEstimate:
     if n < 2:
         raise ValueError("n must be at least 2")
     # the partitions to test over the whole m-range, counted up to the cap
-    counts = accumulate(_partition_count(m * m, n) for m in m_range)
-    if any(c > MAX_PARTITIONS for c in counts):
-        raise ValueError(
-            f"more than {MAX_PARTITIONS} path-length partitions to test, the most allowed"
-        )
+    count = 0
+    for m in m_range:
+        if m < 1:
+            raise ValueError(f"m must be positive, got {m}")
+        count += _partition_count(m * m, n)
+        if count > MAX_PARTITIONS:
+            raise ValueError(
+                f"more than {MAX_PARTITIONS} path-length partitions to test, the most allowed"
+            )
     per_m: Dict[int, int] = {}
     counterexamples: Dict[int, Optional[Tuple[int, ...]]] = {}
     vacuous = []

@@ -281,12 +281,28 @@ def parse_tree(text: str) -> Tree:
 
 
 def parse_labels(text: str) -> Dict[str, int]:
-    """Collect ``label <name> <v>`` lines from a tree/topology document."""
+    """Collect ``label <name> <v>`` lines from a topology document.
+
+    The compact sequence syntax reads one character per member and gives
+    ``~``, ``0``, ``_`` and ``,`` their own meaning, so a name is one other
+    character, given once."""
     labels: Dict[str, int] = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.strip().split()
-        if len(parts) == 3 and parts[0] == "label":
-            labels[parts[1]] = int(parts[2])
+        if len(parts) != 3 or parts[0] != "label":
+            continue
+        name = parts[1]
+        if len(name) != 1 or name in "~0_,":
+            raise TreeError(
+                f"bad label on line {lineno}: {name!r}; a label is one character "
+                "other than ~ 0 _ ,"
+            )
+        if name in labels:
+            raise TreeError(f"label {name!r} given twice, again on line {lineno}")
+        try:
+            labels[name] = int(parts[2])
+        except ValueError:
+            raise TreeError(f"malformed line {lineno}: {raw!r}") from None
     return labels
 
 

@@ -314,6 +314,58 @@ def test_spider_solver_matches_brute_force(rng):
         arms = [rng.randint(1, 3) for _ in range(rng.randint(3, 4))]
         t = make_spider(arms)
         assert burning_number(t)[0] == brute_burning_number(t), arms
+    # repeated leg lengths, where only the first arm of each length is tried
+    for arms in ((2, 2, 2), (1, 1, 2, 2), (1, 3, 3), (2, 2, 3), (3, 3, 3), (1, 1, 1, 1, 1)):
+        t = make_spider(arms)
+        assert burning_number(t)[0] == brute_burning_number(t), arms
+
+
+def reference_cover_segments(legs, m):
+    """`_cover_segments` by the full head-ball enumeration: every radius-rho
+    ball through the head, on every arm at every depth, skipping one that
+    leaves the same sorted (arm length, capped reach) pairs as a ball tried
+    before it."""
+    head, arms = legs
+    radii = list(range(m - 1, -1, -1))
+    if head is None:
+        return burning._cover_suffixes(arms, [0], radii)
+    lengths = [len(a) for a in arms]
+
+    def head_balls(rho):
+        yield head, [min(l, rho) for l in lengths]
+        for j, arm in enumerate(arms):
+            for delta in range(1, min(rho, len(arm)) + 1):
+                yield arm[delta - 1], [
+                    min(l, delta + rho if k == j else rho - delta)
+                    for k, l in enumerate(lengths)
+                ]
+
+    seen = set()
+    for rho in radii:
+        rest = [r for r in radii if r != rho]
+        for centre, reach in head_balls(rho):
+            key = (rho, tuple(sorted(zip(lengths, reach))))
+            if key in seen:
+                continue
+            seen.add(key)
+            cover = burning._cover_suffixes(arms, reach, rest)
+            if cover is not None:
+                return [(rho, centre)] + cover
+    return None
+
+
+def test_cover_segments_matches_the_full_head_ball_enumeration(rng):
+    # the same first cover, so the same witness, on and just above b
+    spiders = [[1] * l for l in range(3, 10)] + [[L] * l for l in (3, 5, 8) for L in (2, 7, 15)]
+    while len(spiders) < 1000:
+        pool = [rng.randint(1, 15) for _ in range(rng.randint(1, 4))]
+        spiders.append([rng.choice(pool) for _ in range(rng.randint(3, 9))])
+    spiders += [[rng.randint(1, 15) for _ in range(rng.randint(3, 9))] for _ in range(200)]
+    for arms in spiders:
+        t = make_spider(arms)
+        legs = _legs(t)
+        for k in range(1, burning_number(t)[0] + 2):
+            assert _cover_segments(legs, k) == reference_cover_segments(legs, k), (arms, k)
 
 
 def test_scan_start_never_exceeds_burning_number():
@@ -1071,6 +1123,18 @@ def test_ln_estimate_matches_the_list_rule():
 def test_ln_estimate_vacuous():
     est = ln_estimate(5, [2])
     assert est.vacuous == (2,)
+
+
+def test_ln_estimate_refuses_m_below_one(monkeypatch):
+    counted = []
+    monkeypatch.setattr(burning, "_partition_count", lambda *a: counted.append(a) or 0)
+    cases = (([-3, -2, -1], -3, 0), ([0, 1, 2], 0, 0), ([2, 1, 0, -1], 0, 2))
+    for ms, first, valid_before in cases:
+        del counted[:]
+        with pytest.raises(ValueError, match=rf"^m must be positive, got {first}$"):
+            ln_estimate(2, ms)
+        # refused before the partitions of any m below one are counted
+        assert len(counted) == valid_before, ms
 
 
 def test_partitions_match_recursive_reference():

@@ -333,6 +333,14 @@ def test_forest_ln_empty_range_is_domain_error(capsys):
         assert captured.err.startswith("error: empty m-range")
 
 
+@pytest.mark.parametrize("spec, m", [("-3..-1", -3), ("0..2", 0), ("-1..1", -1)])
+def test_forest_ln_refuses_m_below_one(capsys, spec, m):
+    assert run(["forest", "ln", "-n", "2", f"--m-range={spec}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: m must be positive, got {m}\n"
+
+
 def test_adm_order_example(capsys):
     code, out = capture(
         capsys, ["adm", "order", "chain3333", "--seq", "A_B,C_D", "-m", "6"]
@@ -587,6 +595,44 @@ def test_topology_file_with_labels(tmp_path, capsys):
     code, out = capture(capsys, ["adm", "order", str(f), "--seq", "H", "-m", "4"])
     assert code == 0
     assert out.strip() == "order=19"
+
+
+@pytest.mark.parametrize(
+    "lines, error",
+    [
+        ("label B1 0\nlabel B2 3", "error: bad label on line 6: 'B1'"),
+        ("label 0 0\nlabel ~ 3", "error: bad label on line 6: '0'"),
+        ("label A 0\nlabel ~ 3", "error: bad label on line 7: '~'"),
+        ("label A 0\nlabel _ 3", "error: bad label on line 7: '_'"),
+        ("label , 0\nlabel B 3", "error: bad label on line 6: ','"),
+        ("label A 0\nlabel A 3", "error: label 'A' given twice, again on line 7"),
+        ("label A 0\nlabel B x", "error: malformed line 7: 'label B x'"),
+    ],
+)
+def test_label_the_compact_syntax_cannot_read_is_refused(tmp_path, capsys, lines, error):
+    f = tmp_path / "topo.txt"
+    f.write_text("edge 0 1\nedge 0 2\nedge 0 3\nedge 3 4\nedge 3 5\n" + lines + "\n")
+    argvs = (["ext", "search", str(f), "-m", "3"], ["adm", "validate", str(f), "--seq", "A_B"])
+    for argv in argvs:
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(error)
+
+
+def test_ext_search_sequence_reads_back(tmp_path, capsys):
+    f = tmp_path / "topo.txt"
+    f.write_text("edge 0 1\nedge 0 2\nedge 0 3\nedge 3 4\nedge 3 5\nlabel x 0\nlabel 7 3\n")
+    for topology in ("chain3333", "tshape5333", "star4", str(f)):
+        code, out = capture(capsys, ["ext", "search", topology, "-m", "6"])
+        assert code == 0
+        fields = dict(item.split("=") for item in out.split())
+        seq = fields["seq"]
+        code, out = capture(capsys, ["adm", "validate", topology, "--seq", seq])
+        assert (code, out) == (0, "valid\n"), (topology, seq)
+        code, out = capture(capsys, ["adm", "order", topology, "--seq", seq, "-m", "6"])
+        assert (code, out) == (0, f"order={fields['order']}\n"), (topology, seq)
 
 
 def test_output_determinism(capsys):

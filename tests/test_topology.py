@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from treeburn.tree import Tree, make_path, make_spider
+from treeburn.tree import Tree, TreeError, make_path, make_spider, parse_tree
 from treeburn.topology import (
     Topology,
     TopologyError,
@@ -97,6 +98,25 @@ def test_parse_topology_labels():
     topo, labels = parse_topology(text)
     assert labels == {"H": 0}
     assert topo.branch_vertices == frozenset({0})
+
+
+@pytest.mark.parametrize(
+    "label, error",
+    [
+        ("label HH 0", "bad label on line 4: 'HH'"),
+        ("label ~ 0", "bad label on line 4: '~'"),
+        ("label 0 0", "bad label on line 4: '0'"),
+        ("label _ 0", "bad label on line 4: '_'"),
+        ("label , 0", "bad label on line 4: ','"),
+        ("label H 0\nlabel H 1", "label 'H' given twice, again on line 5"),
+        ("label H zero", "malformed line 4: 'label H zero'"),
+    ],
+)
+def test_parse_topology_refuses_a_label_the_compact_syntax_cannot_read(label, error):
+    with pytest.raises(TreeError, match="^" + re.escape(error)):
+        parse_topology("edge 0 1\nedge 0 2\nedge 0 3\n" + label + "\n")
+    # a tree file ignores labels
+    assert parse_tree("edge 0 1\nedge 0 2\nedge 0 3\n" + label + "\n").order == 4
 
 
 def test_parse_topology_rejects_degree_two():
