@@ -8,13 +8,14 @@ covering into a schedule (`_witness_from_cover`) and lists each round's
 candidates in `enumerate_optimal_schedules`.  The m-burnability decision runs
 on the covering form of the problem: a tree is m-burnable iff balls of radii
 m-1, m-2, ..., 0 can cover it, since the burn repairs a covering into a
-burning sequence by re-siting any source already burned.  Two engines decide
-coverage, each with its proof in its docstring.  Trees with at most one
-branch vertex (paths and spiders) go to the segment engine: it tries each
-ball through the head and covers the arm suffixes left over with an exact
-path-forest DP, which alone decides a path (the law n <= m*m).  Every other
-tree goes to a search that branches only on which radius covers a deepest
-uncovered vertex, with the ball's center fixed by an exchange argument.
+burning sequence by re-siting any source already burned.  One front end,
+`_engine`, picks the engine that owns a tree and the lower bound on b where
+the scan starts; each engine has its proof in its docstring.  A path is one
+segment for an exact path-forest DP (the law n <= m*m).  A spider goes to
+the segment engine: it tries each ball through the head and covers the arm
+suffixes left over with the same DP.  Every other tree goes to a search
+that branches only on which radius covers a deepest uncovered vertex, with
+the ball's center fixed by an exchange argument.
 
 b and an optimal burning sequence are invariants of a tree's isomorphism
 class.  A memo keyed by canonical key keeps, for a bounded number of
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .tree import (
     Tree,
@@ -275,14 +276,14 @@ def path_forest_burnable(forest: PathForest, m: int) -> bool:
     answer at m is the answer at min(m, N).
     """
     if m < 1:
-        return False
+        raise ValueError("m must be positive")
     radii = range(min(m, sum(forest.path_orders)))
     return _forest_groups(forest.path_orders, radii) is not None
 
 
 # ---------------------------------------------------------------------------
-# Covering decisions: a segment engine for trees with at most one branch
-# vertex, and a deepest-uncovered search for every other tree.
+# Covering decisions: the path-forest DP for paths, a segment engine for
+# spiders, and a deepest-uncovered search for every other tree (`_engine`).
 
 def _place_on_line(line: Sequence[int], radii: Sequence[int]) -> List[Tuple[int, int]]:
     """Place balls of the given radii left to right along a vertex line."""
@@ -317,29 +318,17 @@ def _cover_suffixes(
     ]
 
 
-_Legs = Tuple[Optional[int], List[List[int]]]
+def _cover_segments(
+    head: int, arms: Sequence[Sequence[int]], m: int
+) -> Optional[List[Tuple[int, int]]]:
+    """Exact cover of a spider, given by its head and its arms (`_runs`,
+    each arm's vertices from the head out), by balls of radii m-1..0.
 
-
-def _legs(tree: Tree) -> _Legs:
-    """(head, legs) of a path or spider, each leg's vertices from the head
-    out; a path has head None and one leg, its vertices end to end."""
-    if tree.is_path():
-        end = tree.leaves()[0]
-        line = [end] + _runs(tree._adj, end)[0] if tree.order > 1 else [end]
-        return None, [line]
-    head = tree.branch_vertices()[0]
-    return head, _runs(tree._adj, head)
-
-
-def _cover_segments(legs: _Legs, m: int) -> Optional[List[Tuple[int, int]]]:
-    """Exact cover of a path or spider, given by its `_legs`, by balls of
-    radii m-1..0.
-
-    Both rest on the path-forest lemma: a ball meets a path in an interval of
+    It rests on the path-forest lemma: a ball meets a path in an interval of
     at most 2r+1 vertices, and intervals of sizes s_i cover a path of order L
     iff sum(s_i) >= L, so a path forest is covered iff the radii can be split
     into groups with sum(2r+1) at least each path's order (`_forest_groups`).
-    A path is one segment, which gives the law n <= m*m.
+    A path is one such segment, which gives the law n <= m*m (`_engine`).
 
     A spider has a head h and arms; a ball of radius r centred at depth delta
     on arm j (delta = 0 at h) contains h iff delta <= r.  Such a head ball
@@ -359,7 +348,12 @@ def _cover_segments(legs: _Legs, m: int) -> Optional[List[Tuple[int, int]]]:
     of its own arm and max(0, L_i - rho + delta) of every other arm i, so on
     another arm of length L it leaves the same forest: only the first arm of
     each leg length is tried.  Any other head balls that leave the same
-    forest are tried again and fail the same way.
+    forest are tried again and fail the same way.  No head ball is centred
+    on a leaf, delta = L: for rho >= 1 every vertex within rho of the leaf
+    is within rho of its neighbour, the centre at delta = L - 1 (the head
+    when L = 1), which is tried before it in the same radius and leaves no
+    longer suffixes.  So the leaf's forest is covered only when the
+    neighbour's already was, and the first cover found is the same.
 
     In each radius the head-centred ball goes first.  An l-leg spider of
     the extremal order l(m-1) + 1 + (m-1)^2 meets the bound in
@@ -368,10 +362,7 @@ def _cover_segments(legs: _Legs, m: int) -> Optional[List[Tuple[int, int]]]:
     of radius m-1, so one forest DP decides it instead of one failing DP
     per arm-centred ball tried before it.
     """
-    head, arms = legs
     radii = list(range(m - 1, -1, -1))
-    if head is None:
-        return _cover_suffixes(arms, [0], radii)
     firsts: Dict[int, int] = {}  # leg length -> its first arm
     for j, arm in enumerate(arms):
         firsts.setdefault(len(arm), j)
@@ -381,7 +372,7 @@ def _cover_segments(legs: _Legs, m: int) -> Optional[List[Tuple[int, int]]]:
         if cover is not None:
             return [(rho, head)] + cover
         for j in firsts.values():
-            for delta in range(1, min(rho, len(arms[j])) + 1):
+            for delta in range(1, min(rho, len(arms[j]) - 1) + 1):
                 reach = [rho - delta] * len(arms)
                 reach[j] = rho + delta
                 cover = _cover_suffixes(arms, reach, rest)
@@ -560,6 +551,38 @@ def _witness_from_cover(
     return BurningSchedule(sources=tuple(sources))
 
 
+def _engine(tree: Tree) -> Tuple[int, Callable]:
+    """(start, cover_at): the lower bound on b(tree) where `burning_number`
+    starts its scan, proved in that function's docstring, and cover_at(k),
+    the exact cover by balls of radii k-1..0 (or None) from the engine that
+    owns the tree.
+
+    A path is one line from an end, a single segment for the path-forest DP,
+    and its diameter is n - 1.  A spider goes to the segment engine with its
+    head and legs (`_runs`), and reads its bound off them with no BFS: it
+    has one leaf per leg and its two longest legs as diameter.  Any other
+    tree is searched on its canonical parent array, in run-order ids, which
+    also gives its diameter.
+    """
+    branch = tree.branch_vertices()
+    if not branch:
+        end = tree.leaves()[0]
+        line = [end] + _runs(tree._adj, end)[0] if tree.order > 1 else [end]
+        return math.isqrt(tree.order - 1) + 1, lambda k: _cover_suffixes([line], [0], range(k))
+    if len(branch) == 1:
+        # the path-forest DP keeps the arms' symmetry, which _cover_general's
+        # bitmask states lose: 0.11 s against 21 s on 192 tight-spider decisions
+        head = branch[0]
+        arms = _runs(tree._adj, head)
+        lengths = sorted(map(len, arms))
+        start = math.isqrt(lengths[-1] + lengths[-2]) + 1
+        while start * start + (len(lengths) - 2) * (start - 1) < tree.order:
+            start += 1
+        return start, lambda k: _cover_segments(head, arms, k)
+    parent = canonical_parent(tree)
+    return math.isqrt(parent_diameter(parent)) + 1, lambda k: _cover_general(parent, k)
+
+
 def is_m_burnable(tree: Tree, m: int) -> bool:
     """True iff a valid burning sequence of length <= m exists.
 
@@ -568,43 +591,25 @@ def is_m_burnable(tree: Tree, m: int) -> bool:
     No k below the scan start is burnable (`burning_number`'s docstring), so
     there the answer is no without a cover.  A tree with two or more branch
     vertices whose class has a stored witness reads b off it, its length,
-    and builds no parent array; any other decides once on its canonical
-    parent array and writes nothing to the memo.
+    and builds no parent array; any other decides once through `_engine`
+    and writes nothing to the memo.
     """
     if m < 1:
         raise ValueError("m must be positive")
     m = min(m, tree.order)
-    if len(tree.branch_vertices()) <= 1:
-        legs = _legs(tree)
-        return m >= _scan_start(tree, legs) and _cover_segments(legs, m) is not None
-    ids = _memo.get(canonical_runs(tree)[0])
-    if ids is not None:
-        return m >= len(ids)
-    return m >= _scan_start(tree) and _cover_general(canonical_parent(tree), m) is not None
-
-
-def _scan_start(tree: Tree, legs: Optional[_Legs] = None) -> int:
-    """The lower bound on b(tree) where `burning_number` starts its scan;
-    the proof is in that function's docstring.  A path or spider reads it
-    off its `legs`, with no BFS: a path of order n has diameter n - 1, and
-    a spider has one leaf per leg and its two longest legs as diameter.
-    Any other tree reads its diameter off its canonical parent array."""
     if len(tree.branch_vertices()) > 1:
-        return math.isqrt(parent_diameter(canonical_parent(tree))) + 1
-    head, arms = legs or _legs(tree)
-    if head is None:
-        return math.isqrt(len(arms[0]) - 1) + 1
-    lengths = sorted(map(len, arms))
-    k = math.isqrt(lengths[-1] + lengths[-2]) + 1
-    while k * k + (len(lengths) - 2) * (k - 1) < tree.order:
-        k += 1
-    return k
+        ids = _memo.get(canonical_runs(tree)[0])
+        if ids is not None:
+            return m >= len(ids)
+    start, cover_at = _engine(tree)
+    return m >= start and cover_at(m) is not None
 
 
 def burning_number(tree: Tree) -> Tuple[int, BurningSchedule]:
     """Smallest m with a valid burning sequence, plus a checked optimal witness.
 
-    The scan starts at a lower bound on b (`_scan_start`).  Every tree needs
+    The scan starts at a lower bound on b (`_engine`) and ends by k = n,
+    where every tree is covered (`is_m_burnable`).  Every tree needs
     ceil(sqrt(diam + 1)) rounds: a longest path has diam + 1 vertices, and
     in a tree a radius-r ball meets it in at most 2r + 1 of them (the ball's
     trace on a geodesic is a subpath within distance r of one vertex), so k
@@ -627,38 +632,30 @@ def burning_number(tree: Tree) -> Tuple[int, BurningSchedule]:
     A tree with two or more branch vertices whose class has a stored
     witness gets it mapped through its run order and verified, with no
     cover search and no parent array.  Otherwise the scan runs on the
-    class's canonical parent array from `_scan_start`, and the cover at b
-    becomes a witness on the tree that array builds (`Tree._rooted`).  Its
-    ids are run-order indices, so it is stored as it is, and a hit returns
-    the vertices the search would.  That cover is a function of the array
-    and b alone, so the witness is a function of the tree alone, whatever
-    the memo held or evicted before.  Paths and spiders neither read nor
-    write the memo, and their canonical key is never computed.
+    class's canonical parent array, and the cover at b becomes a witness on
+    the tree that array builds (`Tree._rooted`).  Its ids are run-order
+    indices, so it is stored as it is, and a hit returns the vertices the
+    search would.  That cover is a function of the array and b alone, so
+    the witness is a function of the tree alone, whatever the memo held or
+    evicted before.  Paths and spiders neither read nor write the memo, and
+    their canonical key is never computed.
     """
-    if len(tree.branch_vertices()) <= 1:
-        # the path-forest DP keeps the arms' symmetry, which _cover_general's
-        # bitmask states lose: 0.11 s against 21 s on 192 tight-spider decisions
-        legs = _legs(tree)
-        k, cover = _first_cover(_scan_start(tree, legs), lambda k: _cover_segments(legs, k))
-        return k, _checked(tree, _witness_from_cover(tree, k, cover).sources)
-    key, run_order = canonical_runs(tree)
-    ids = _memo.get(key)
-    if ids is None:
-        parent = canonical_parent(tree)
-        k, cover = _first_cover(_scan_start(tree), lambda k: _cover_general(parent, k))
-        ids = _witness_from_cover(Tree._rooted(parent), k, cover).sources
-        if len(_memo) >= _MEMO_CLASSES:
-            del _memo[next(iter(_memo))]
-        _memo[key] = ids
-    return len(ids), _checked(tree, [run_order[i] for i in ids])
-
-
-def _first_cover(k: int, cover_at) -> Tuple[int, List[Tuple[int, int]]]:
-    """(k', cover) for the least k' >= k that `cover_at` covers.  The scan
-    ends by k' = n, where every tree is covered (`is_m_burnable`)."""
+    branchy = len(tree.branch_vertices()) > 1
+    if branchy:
+        key, run_order = canonical_runs(tree)
+        ids = _memo.get(key)
+        if ids is not None:
+            return len(ids), _checked(tree, [run_order[i] for i in ids])
+    k, cover_at = _engine(tree)
     while (cover := cover_at(k)) is None:
         k += 1
-    return k, cover
+    if not branchy:
+        return k, _checked(tree, _witness_from_cover(tree, k, cover).sources)
+    ids = _witness_from_cover(Tree._rooted(canonical_parent(tree)), k, cover).sources
+    if len(_memo) >= _MEMO_CLASSES:
+        del _memo[next(iter(_memo))]
+    _memo[key] = ids
+    return k, _checked(tree, [run_order[i] for i in ids])
 
 
 def _checked(tree: Tree, sources: Sequence[int]) -> BurningSchedule:
@@ -710,14 +707,14 @@ def enumerate_optimal_schedules(tree: Tree) -> Iterator[BurningSchedule]:
 def is_maximally_m_burnable(tree: Tree, m: int) -> bool:
     """True iff b(tree) = m and no single degree-2 insertion stays m-burnable.
 
-    b = m is decided as m-burnable and not (m-1)-burnable; after
-    `burning_number` on a tree with two or more branch vertices, its stored
-    witness answers both without a search.  Subdivided trees are tried once
-    per isomorphism class, through a local set of canonical keys, which
-    each subdivided tree keeps for the decision.
+    b is read once, from `burning_number`; after an earlier call on a tree
+    with two or more branch vertices (as `find_extremal(verify=True)` makes)
+    that is a memo hit.  Subdivided trees are tried once per isomorphism
+    class, through a local set of canonical keys, which each subdivided
+    tree keeps for the decision.
     """
-    if m < 1 or not is_m_burnable(tree, m) or (m > 1 and is_m_burnable(tree, m - 1)):
-        b, _ = burning_number(tree)
+    b, _ = burning_number(tree)
+    if b != m:
         raise ValueError(f"tree has burning number {b}, not {m}")
     if tree.is_path():
         return not is_m_burnable(make_path(tree.order + 1), m)

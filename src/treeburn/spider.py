@@ -11,7 +11,7 @@ module's segment engine, which covers the leg suffixes past the head's ball.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 from .tree import Tree, _spider_legs, make_spider
 from .burning import BurningSchedule, is_m_burnable, _cover_suffixes, _partitions
@@ -61,13 +61,6 @@ def extremal_order(n: int, m: int) -> int:
     return n * (m - 1) + 1 + (m - 1) ** 2
 
 
-def _legs(profile: SpiderProfile) -> Tuple[int, List[range]]:
-    """`burning._legs` of `profile.tree()`, read off the arm lengths:
-    `make_spider` gives the head id 0 and numbers the legs by
-    `tree._spider_legs`."""
-    return 0, _spider_legs(profile.arm_lengths)
-
-
 def witness_schedule(profile: SpiderProfile, m: int) -> BurningSchedule:
     """A valid m-round schedule that burns the head first, if one exists.
 
@@ -77,12 +70,12 @@ def witness_schedule(profile: SpiderProfile, m: int) -> BurningSchedule:
     balls tile the tree, so no centre is burned before its own round.  The
     schedule passes the check every `burning_number` witness passes.
     """
-    head, arms = _legs(profile)
+    arms = _spider_legs(profile.arm_lengths)  # `make_spider` numbers the head 0
     cover = _cover_suffixes(arms, [m - 1] * len(arms), range(m - 2, -1, -1))
     if cover is None or len(cover) != m - 1:
         raise ValueError(f"no head-first schedule of length {m} for {profile}")
     rounds = sorted(cover, reverse=True)  # radius m-i burns in round i
-    return burning._checked(profile.tree(), (head,) + tuple(c for _, c in rounds))
+    return burning._checked(profile.tree(), (0,) + tuple(c for _, c in rounds))
 
 
 def min_diameter(n: int, m: int) -> int:

@@ -14,9 +14,8 @@ from treeburn.burning import (
     BurningSchedule,
     _cover_general,
     _cover_segments,
+    _engine,
     _forest_groups,
-    _legs,
-    _scan_start,
     _witness_from_cover,
     PathForest,
     burning_number,
@@ -31,6 +30,7 @@ from treeburn.spider import extremal_order
 from treeburn.topology import LengthAssignment, expand, make_chain_topology
 from treeburn.tree import (
     Tree,
+    _runs,
     canonical_key,
     canonical_parent,
     canonical_runs,
@@ -235,7 +235,7 @@ def test_witness_matches_reference_simulation(rng):
         b = burning_number(t)[0]
         k = b + (rng.random() < 0.2)
         if len(t.branch_vertices()) <= 1:
-            cover = _cover_segments(_legs(t), k)
+            cover = _engine(t)[1](k)
         else:
             run_order = canonical_runs(t)[1]
             cover = [(r, run_order[c]) for r, c in _cover_general(canonical_parent(t), k)]
@@ -327,8 +327,6 @@ def reference_cover_segments(legs, m):
     before it."""
     head, arms = legs
     radii = list(range(m - 1, -1, -1))
-    if head is None:
-        return burning._cover_suffixes(arms, [0], radii)
     lengths = [len(a) for a in arms]
 
     def head_balls(rho):
@@ -363,10 +361,36 @@ def test_cover_segments_matches_the_full_head_ball_enumeration(rng):
     spiders += [[rng.randint(1, 15) for _ in range(rng.randint(3, 9))] for _ in range(200)]
     for arms in spiders:
         t = make_spider(arms)
-        legs = _legs(t)
+        legs = 0, _runs(t._adj, 0)
         for k in range(1, burning_number(t)[0] + 2):
-            assert _cover_segments(legs, k) == reference_cover_segments(legs, k), (arms, k)
+            assert _cover_segments(*legs, k) == reference_cover_segments(legs, k), (arms, k)
 
+
+
+def test_cover_segments_centres_no_head_ball_on_a_leaf(monkeypatch, rng):
+    # a leaf's ball lies inside its neighbour's, which is tried before it in
+    # the same radius, so no forest DP is run for a ball centred on a leaf
+    tried = []
+    suffixes = burning._cover_suffixes
+    monkeypatch.setattr(
+        burning, "_cover_suffixes", lambda *args: tried.append(args) or suffixes(*args)
+    )
+    short = 0  # balls on an arm no longer than their radius
+    spiders = [[1, 1, 1], [1, 2, 3], [2, 2, 2, 2]]
+    spiders += [[rng.randint(1, 6) for _ in range(rng.randint(3, 7))] for _ in range(200)]
+    for arms in spiders:
+        t = make_spider(arms)
+        legs = _runs(t._adj, 0)
+        for k in range(1, burning_number(t)[0] + 1):
+            del tried[:]
+            _cover_segments(0, legs, k)
+            for lines, reach, rest in tried:
+                (rho,) = set(range(k)) - set(rest)
+                j = max(range(len(reach)), key=reach.__getitem__)
+                delta = reach[j] - rho  # 0 for the head-centred ball
+                assert delta < len(lines[j]), (arms, k, rho, j)
+                short += 0 < delta and len(lines[j]) <= rho
+    assert short
 
 def test_scan_start_never_exceeds_burning_number():
     # the decision at start - 1 does not read the start bound, so it shows
@@ -374,10 +398,10 @@ def test_scan_start_never_exceeds_burning_number():
     for legs in range(3, 6):
         for arms in itertools.combinations_with_replacement(range(1, 7), legs):
             t = make_spider(arms)
-            k = _scan_start(t)
+            k = _engine(t)[0]
             assert k == 1 or not is_m_burnable(t, k - 1), arms
     for n in range(1, 201):
-        assert _scan_start(make_path(n)) == math.isqrt(n - 1) + 1
+        assert _engine(make_path(n))[0] == math.isqrt(n - 1) + 1
 
 
 def test_is_m_burnable_monotone(rng):
@@ -825,6 +849,12 @@ def test_path_forest_matches_brute_force(rng):
         ), (orders, m)
 
 
+
+def test_path_forest_burnable_refuses_m_below_one():
+    for m in (0, -5):
+        with pytest.raises(ValueError, match="^m must be positive$"):
+            path_forest_burnable(PathForest((3, 3)), m)
+
 def test_forest_groups_on_radius_subsets(rng):
     # the spider engine hands the DP every radius but the one crossing the head
     for _ in range(150):
@@ -857,7 +887,7 @@ def test_tight_spider_theorem(rng):
                 legs[rng.randrange(len(legs))] += 2 * (m - i) + 1
             t = make_spider(legs)
             assert t.order == extremal_order(len(legs), m)
-            assert _scan_start(t) == m, legs  # one cover finds b
+            assert _engine(t)[0] == m, legs  # one cover finds b
             b, sched = burning_number(t)
             assert b == m, legs
             assert verify_schedule(t, sched).is_burning_sequence
@@ -866,7 +896,7 @@ def test_tight_spider_theorem(rng):
             assert verify_schedule(t, head_first).is_burning_sequence
             legs[rng.randrange(len(legs))] += 1
             t = make_spider(legs)
-            assert _scan_start(t) == m + 1, legs
+            assert _engine(t)[0] == m + 1, legs
             b, sched = burning_number(t)
             assert b == m + 1, legs
             assert verify_schedule(t, sched).is_burning_sequence
@@ -902,7 +932,7 @@ def test_extremal_spider_takes_one_forest_dp(rng, forest_dp_calls):
             t = make_spider(legs)  # head 0
             # the head-centred ball of radius m-1 goes first and covers
             del forest_dp_calls[:]
-            assert _cover_segments(_legs(t), m)[0] == (m - 1, 0), legs
+            assert _cover_segments(0, _runs(t._adj, 0), m)[0] == (m - 1, 0), legs
             assert len(forest_dp_calls) == 1, legs
             # the scan starts at b = m, so burning_number runs that DP alone
             del forest_dp_calls[:]
@@ -910,7 +940,7 @@ def test_extremal_spider_takes_one_forest_dp(rng, forest_dp_calls):
             # n-2 vertices short of extremal the head-centred ball still covers
             legs[legs.index(max(legs))] -= n - 2
             del forest_dp_calls[:]
-            assert _cover_segments(_legs(make_spider(legs)), m)[0] == (m - 1, 0), legs
+            assert _cover_segments(0, _runs(make_spider(legs)._adj, 0), m)[0] == (m - 1, 0), legs
             assert len(forest_dp_calls) == 1, legs
 
 
@@ -924,7 +954,7 @@ def test_extremal_plus_one_spider_proof_runs_no_forest_dp(rng, forest_dp_calls):
             del forest_dp_calls[:]
             assert not is_m_burnable(t, m) and forest_dp_calls == [], legs
             # at b = m+1 the head-centred ball of radius m covers with one DP
-            assert _cover_segments(_legs(t), m + 1)[0] == (m, 0), legs
+            assert _cover_segments(0, _runs(t._adj, 0), m + 1)[0] == (m, 0), legs
             assert len(forest_dp_calls) == 1, legs
             del forest_dp_calls[:]
             assert burning_number(t)[0] == m + 1 and len(forest_dp_calls) == 1, legs
@@ -932,16 +962,13 @@ def test_extremal_plus_one_spider_proof_runs_no_forest_dp(rng, forest_dp_calls):
 
 def test_is_m_burnable_skips_the_cover_below_the_start(monkeypatch, rng):
     calls = []
-    engine, general = burning._cover_segments, burning._cover_general
+    engine = burning._engine
 
-    def counted(legs, m):
-        calls.append(m)
-        return engine(legs, m)
+    def counted(tree):
+        start, cover_at = engine(tree)
+        return start, lambda m: calls.append(m) or cover_at(m)
 
-    monkeypatch.setattr(burning, "_cover_segments", counted)
-    monkeypatch.setattr(
-        burning, "_cover_general", lambda t, m: calls.append(m) or general(t, m)
-    )
+    monkeypatch.setattr(burning, "_engine", counted)
     trees = [make_path(n) for n in (1, 2, 10, 50, 1000)]
     for n in range(3, 7):
         for m in range(3, 8):
@@ -951,7 +978,7 @@ def test_is_m_burnable_skips_the_cover_below_the_start(monkeypatch, rng):
             trees.append(make_spider(legs))
     trees += [make_spider([rng.randint(1, 9) for _ in range(rng.randint(3, 6))]) for _ in range(20)]
     for t in trees:
-        start, (b, _) = _scan_start(t), burning_number(t)
+        start, (b, _) = _engine(t)[0], burning_number(t)
         for k in range(1, start):
             del calls[:]
             assert not is_m_burnable(t, k) and calls == [], (t.edges, k)
@@ -961,7 +988,7 @@ def test_is_m_burnable_skips_the_cover_below_the_start(monkeypatch, rng):
     # same gate, so every k below the start is answered with no search
     for t in branchy_trees(rng, 30, 8, 40):
         monkeypatch.setattr(burning, "_memo", {})
-        start = _scan_start(t)
+        start = _engine(t)[0]
         for k in range(1, start):
             del calls[:]
             assert not is_m_burnable(t, k) and calls == [], (t.edges, k)
@@ -989,13 +1016,13 @@ def test_scan_start_from_legs_matches_diameter_formula(rng):
             t = make_spider([rng.randint(1, top) for _ in range(rng.randint(3, 8))])
         if t.order > 1 and i % 2:
             t = relabelled(t, rng)
-        assert _scan_start(t) == reference_scan_start(t), t.edges
+        assert _engine(t)[0] == reference_scan_start(t), t.edges
     for _ in range(40):
         if rng.random() < 0.3:
             t = make_path(rng.randint(1, 8))
         else:
             t = make_spider([rng.randint(1, 2) for _ in range(rng.randint(3, 4))])
-        assert _scan_start(t) <= brute_burning_number(t), t.edges
+        assert _engine(t)[0] <= brute_burning_number(t), t.edges
 
 
 def test_lean_check_agrees_with_distance_oracle(rng):

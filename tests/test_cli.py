@@ -325,6 +325,14 @@ def test_forest_burnable_rejects_an_empty_forest(capsys):
         assert captured.err == "error: a path forest needs at least one path\n"
 
 
+
+@pytest.mark.parametrize("m", [0, -5])
+def test_forest_burnable_refuses_m_below_one(capsys, m):
+    assert run(["forest", "burnable", "--paths", "3,3", "-m", str(m)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: m must be positive\n"
+
 def test_forest_ln_empty_range_is_domain_error(capsys):
     for spec in ("5..2", "3..2"):
         assert run(["forest", "ln", "-n", "2", "--m-range", spec]) == 1

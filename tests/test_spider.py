@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from treeburn import burning, spider
 from treeburn.burning import (
     _cover_suffixes,
     _partitions,
@@ -19,6 +18,7 @@ from treeburn.spider import (
     verify_min_diameter,
     witness_schedule,
 )
+from treeburn.tree import _runs, _spider_legs
 
 
 def test_profile_validation():
@@ -118,7 +118,9 @@ def test_witness_schedule_rejects_infeasible():
 def _reference_witness(profile, m):
     """The head-first sources with the legs walked on the built tree, or
     None where no head-first schedule exists."""
-    head, legs = burning._legs(profile.tree())
+    t = profile.tree()
+    head = t.branch_vertices()[0]
+    legs = _runs(t._adj, head)
     cover = _cover_suffixes(legs, [m - 1] * len(legs), range(m - 2, -1, -1))
     if cover is None or len(cover) != m - 1:
         return None
@@ -146,8 +148,8 @@ def test_witness_reads_legs_off_the_profile():
         if rng.random() < 0.5:
             lengths.sort()
         profile = SpiderProfile(arm_lengths=tuple(lengths))
-        head, legs = spider._legs(profile)
-        assert (head, [list(leg) for leg in legs]) == burning._legs(profile.tree())
+        legs = _spider_legs(profile.arm_lengths)
+        assert [list(leg) for leg in legs] == _runs(profile.tree()._adj, 0)
         want = _reference_witness(profile, m)
         if want is None:
             with pytest.raises(ValueError, match="no head-first schedule"):
